@@ -49,7 +49,6 @@ def _service(max_batch_size):
     return InferenceService(
         build_model("small_cnn", seed=0),
         max_batch_size=max_batch_size,
-        max_wait_us=2000,
         queue_depth=256,
         cache_size=0,
         use_tape=False,

@@ -4,10 +4,15 @@
 The CI ``tests-serving`` lane runs this after the unit suite: it starts
 an in-process server on an ephemeral port with a small untrained CNN,
 exercises every endpoint over real HTTP — healthz, single and batched
-classify, a cache hit, a robustness audit, an induced 400 — then
-scrapes ``/metrics`` and writes a latency snapshot (request/batch
-percentiles, cache and batcher counters) to a JSON file that the lane
-uploads as a build artifact.
+classify, a cache hit, a robustness audit, an induced 400 — then drives
+50 sequential 8-example ``/classify`` requests over one keep-alive
+connection, scrapes ``/metrics`` and writes a latency snapshot
+(keep-alive p50, request/batch percentiles, cache and batcher counters)
+to a JSON file that the lane uploads as a build artifact.
+
+The keep-alive p50 must stay under 40 ms, the delayed-ACK floor a
+response split over two sends would pay (see "Response framing" in
+docs/serving.md).
 
 Usage::
 
@@ -17,8 +22,11 @@ Exit code 0 when every probe behaved; any unexpected response raises.
 """
 
 import argparse
+import http.client
 import json
+import statistics
 import sys
+import time
 import urllib.error
 import urllib.request
 
@@ -26,6 +34,13 @@ import numpy as np
 
 from repro.models import build_model
 from repro.serving import InferenceService, start_server
+
+#: Sequential requests in the keep-alive drive, and examples per request.
+_KEEPALIVE_REQUESTS = 50
+_KEEPALIVE_BATCH = 8
+#: Linux's minimum delayed-ACK timeout: a response whose body waits for
+#: the client's ACK of its headers takes at least this long.
+_DELAYED_ACK_FLOOR_MS = 40.0
 
 
 def _call(method, url, payload=None):
@@ -38,6 +53,28 @@ def _call(method, url, payload=None):
         return json.loads(response.read())
 
 
+def _keepalive_p50_ms(host, port, rng) -> float:
+    """p50 latency of sequential batched classifies over one connection."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    latencies = []
+    try:
+        for _ in range(_KEEPALIVE_REQUESTS):
+            body = json.dumps(
+                {"inputs": rng.random((_KEEPALIVE_BATCH, 784)).tolist()}
+            ).encode()
+            started = time.perf_counter()
+            conn.request("POST", "/classify", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            latencies.append((time.perf_counter() - started) * 1000.0)
+            assert response.status == 200, response.status
+            assert len(payload["predictions"]) == _KEEPALIVE_BATCH, payload
+    finally:
+        conn.close()
+    return statistics.median(latencies)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="serving_smoke.json")
@@ -47,7 +84,7 @@ def main() -> int:
     rng = np.random.default_rng(0)
     service = InferenceService(
         build_model("small_cnn", seed=0),
-        max_batch_size=8, max_wait_us=1000, cache_size=256,
+        max_batch_size=8, cache_size=256,
         use_tape=False, name="small_cnn",
     )
     server = start_server(service, host="127.0.0.1", port=0)
@@ -85,6 +122,7 @@ def main() -> int:
         else:
             raise AssertionError("malformed classify did not 400")
 
+        keepalive_p50 = _keepalive_p50_ms(host, port, rng)
         metrics = _call("GET", f"{base}/metrics")
     finally:
         server.shutdown_gracefully()
@@ -93,8 +131,11 @@ def main() -> int:
     snapshot = {
         "endpoint_probes": ["healthz", "classify", "classify_many",
                             "cache_hit", "audit", "bad_request",
-                            "metrics"],
+                            "keepalive", "metrics"],
         "examples": args.examples,
+        "keepalive_requests": _KEEPALIVE_REQUESTS,
+        "keepalive_batch": _KEEPALIVE_BATCH,
+        "keepalive_ms_p50": keepalive_p50,
         "request_latency_ms": histograms.get("serving.request_latency_ms"),
         "batch_latency_ms": histograms.get(
             "serving.classify.batch_latency_ms"
@@ -108,11 +149,17 @@ def main() -> int:
     assert snapshot["cache"]["hits"] >= 1, snapshot
     with open(args.out, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)
+    if keepalive_p50 >= _DELAYED_ACK_FLOOR_MS:
+        raise AssertionError(
+            f"keep-alive classify p50 {keepalive_p50:.1f} ms is at the "
+            f"{_DELAYED_ACK_FLOOR_MS:.0f} ms delayed-ACK floor"
+        )
     batch_ms = snapshot["batch_latency_ms"]
     print(
         f"ok: {snapshot['batcher']['requests']} requests in "
         f"{snapshot['batcher']['batches']} batches, batch p50 "
-        f"{batch_ms['p50']:.2f} ms p99 {batch_ms['p99']:.2f} ms; "
+        f"{batch_ms['p50']:.2f} ms p99 {batch_ms['p99']:.2f} ms, "
+        f"keep-alive p50 {keepalive_p50:.2f} ms; "
         f"snapshot -> {args.out}"
     )
     return 0

@@ -482,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch coalescing bound (1 = no coalescing)",
     )
     p_serve.add_argument(
-        "--max-wait-us", type=int, default=2000, metavar="US",
-        help="how long an open batch waits for more requests",
+        "--max-wait-us", type=int, default=0, metavar="US",
+        help="how long a short batch waits for more requests (0 = "
+        "work-conserving: batch whatever is queued when the worker is free)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=256, metavar="N",

@@ -5,21 +5,26 @@ forward pass through the CNN costs almost as much engine overhead as a
 32-example one, so coalescing concurrent single-example requests into one
 batched forward amortises that overhead across the batch (Kurakin et al.'s
 batched-execution lever, applied to inference).  :class:`MicroBatcher`
-implements the standard coalescing window:
+is work-conserving by default:
 
-* the first request of a batch is dequeued blockingly;
-* further requests are admitted until the batch reaches
-  ``max_batch_size`` **or** ``max_wait_us`` has elapsed since the batch
-  opened — whichever comes first;
-* the whole batch runs through one ``run_batch`` call on a dedicated
-  worker thread, and each request's :class:`~concurrent.futures.Future`
-  is resolved with its example's result.
+* the single worker thread sleeps until something is queued, then takes
+  everything queued, up to ``max_batch_size`` requests, as one batch —
+  under load the queue refills while a forward pass runs, so requests
+  coalesce without any waiting;
+* ``max_wait_us > 0`` adds a deliberate window: a batch that is still
+  short of ``max_batch_size`` waits up to that long, from its first
+  take, for more requests;
+* the whole batch runs through one ``run_batch`` call on the worker
+  thread, and each request's :class:`~concurrent.futures.Future` is
+  resolved with its example's result.
 
 Overload degrades gracefully instead of collapsing:
 
 * the queue is **bounded** (``queue_depth``); once full, new submissions
   are shed immediately with :class:`QueueFullError` (HTTP 429) rather
-  than piling up latency for everyone;
+  than piling up latency for everyone.  :meth:`MicroBatcher.submit_many`
+  admits a client batch all-or-nothing: its requests are queued back to
+  back or the whole group is shed;
 * callers wait with a deadline — :meth:`MicroBatcher.run` maps a missed
   deadline to :class:`RequestTimeout` (HTTP 504);
 * :meth:`MicroBatcher.close` stops admissions (:class:`ServiceClosed`,
@@ -34,9 +39,9 @@ histograms with streaming p50/p90/p99.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable, List, Optional, Sequence
@@ -84,10 +89,6 @@ class ServiceClosed(ServingError):
     status = 503
 
 
-#: Queue marker telling the worker to drain out and exit.
-_SENTINEL = object()
-
-
 class MicroBatcher:
     """Coalesce single-payload requests into batched ``run_batch`` calls.
 
@@ -101,9 +102,11 @@ class MicroBatcher:
         single-request-at-a-time baseline the throughput gate compares
         against).
     max_wait_us:
-        How long an open batch waits for more requests, in microseconds.
-        The clock starts when the batch's first request is dequeued, so an
-        idle service adds no latency at all to a lone request.
+        How long a short batch waits for more requests, in microseconds.
+        The default 0 is work-conserving: the worker batches whatever is
+        queued the moment it becomes free.  A positive window starts at
+        the batch's first take, so an idle service never delays a lone
+        request by more than the window.
     queue_depth:
         Bound on admitted-but-unprocessed requests; beyond it submissions
         fail fast with :class:`QueueFullError`.
@@ -116,7 +119,7 @@ class MicroBatcher:
         run_batch: Callable[[Sequence[object]], Sequence[object]],
         *,
         max_batch_size: int = 32,
-        max_wait_us: int = 2000,
+        max_wait_us: int = 0,
         queue_depth: int = 256,
         name: str = "classify",
     ) -> None:
@@ -135,9 +138,12 @@ class MicroBatcher:
         self.max_wait_s = max_wait_us / 1e6
         self.queue_depth = int(queue_depth)
         self.name = name
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._closed = threading.Event()
-        self._draining = False  # worker-private: sentinel seen mid-batch
+        # (payload, future, trace context) triples.  Admission, the
+        # worker's takes and close() all hold ``_cond``, so a group is
+        # queued atomically and nothing is admitted after close().
+        self._pending: deque = deque()
+        self._cond = threading.Condition()
+        self._closed = False
         self._metrics = tel.get_metrics()
         self._batches = 0
         self._requests = 0
@@ -155,27 +161,45 @@ class MicroBatcher:
         Raises :class:`ServiceClosed` after :meth:`close` and
         :class:`QueueFullError` when the bounded queue is full.
         """
-        if self._closed.is_set():
-            raise ServiceClosed(f"{self.name}: batcher is shut down")
-        future: Future = Future()
+        return self.submit_many((payload,))[0]
+
+    def submit_many(self, payloads: Sequence[object]) -> List[Future]:
+        """Admit a group of requests at once; one future per payload.
+
+        All-or-nothing against ``queue_depth``: either every payload is
+        queued back to back, in order — so the worker never starts a
+        batch partway through the group — or none is, and the group is
+        shed with :class:`QueueFullError` before any of its work is
+        queued.  A group larger than ``queue_depth`` can never be
+        admitted.  Raises :class:`ServiceClosed` after :meth:`close`.
+        """
+        futures = [Future() for _ in payloads]
         # The submitting thread's trace context rides the queue with the
-        # request, so the batch executing on the worker thread can join
+        # requests, so the batch executing on the worker thread can join
         # the trace of the request(s) it serves.
         ctx = tel.current_context() if tel.enabled() else None
-        try:
-            self._queue.put_nowait((payload, future, ctx))
-        except queue.Full:
-            self._shed += 1
-            self._metrics.inc(f"serving.{self.name}.shed")
+        with self._cond:
+            if self._closed:
+                raise ServiceClosed(f"{self.name}: batcher is shut down")
+            depth = len(self._pending) + len(futures)
+            admitted = depth <= self.queue_depth
+            if admitted:
+                self._pending.extend(
+                    (payload, future, ctx)
+                    for payload, future in zip(payloads, futures)
+                )
+                self._requests += len(futures)
+                self._cond.notify()
+            else:
+                self._shed += len(futures)
+        if not admitted:
+            self._metrics.inc(f"serving.{self.name}.shed", len(futures))
             raise QueueFullError(
                 f"{self.name}: request queue is full "
-                f"(depth {self.queue_depth}); request shed"
-            ) from None
-        self._requests += 1
-        self._metrics.set_gauge(
-            f"serving.{self.name}.queue_depth", self._queue.qsize()
-        )
-        return future
+                f"(depth {self.queue_depth}); {len(futures)} request(s) shed"
+            )
+        self._metrics.set_gauge(f"serving.{self.name}.queue_depth", depth)
+        return futures
 
     def run(self, payload, timeout: Optional[float] = None):
         """Submit and wait for the result with an optional deadline.
@@ -195,34 +219,28 @@ class MicroBatcher:
             ) from None
 
     # -- worker ----------------------------------------------------------
-    def _collect(self, first) -> List:
-        """Grow a batch from ``first`` until full or the window closes."""
-        batch = [first]
-        if self.max_batch_size == 1:
-            return batch
-        deadline = time.monotonic() + self.max_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # Window closed: take whatever is already queued, but do
-                # not wait for more.
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
+    def _take(self, batch: List) -> None:
+        """Move queued requests into ``batch`` up to ``max_batch_size``."""
+        while self._pending and len(batch) < self.max_batch_size:
+            batch.append(self._pending.popleft())
+
+    def _next_batch(self) -> List:
+        """Block for the next batch; empty once closed and drained."""
+        batch: List = []
+        with self._cond:
+            while not self._pending and not self._closed:
+                self._cond.wait()
+            self._take(batch)
+            if not batch or self.max_wait_s <= 0:
+                return batch
+            deadline = time.monotonic() + self.max_wait_s
+            # After close() nothing more can arrive, so stop waiting.
+            while len(batch) < self.max_batch_size and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     break
-            else:
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-            if item is _SENTINEL:
-                # Everything admitted before close() is ahead of the
-                # marker in FIFO order, so this batch is the last one;
-                # flag the outer loop instead of re-queueing (a re-put
-                # could block the worker on its own full queue).
-                self._draining = True
-                break
-            batch.append(item)
+                self._cond.wait(remaining)
+                self._take(batch)
         return batch
 
     def _run_traced(self, payloads, ctxs):
@@ -251,7 +269,10 @@ class MicroBatcher:
     def _execute(self, batch) -> None:
         started = time.perf_counter()
         payloads = [payload for payload, _future, _ctx in batch]
-        ctxs = [ctx for _payload, _future, ctx in batch if ctx is not None]
+        # A group admitted by one request shares one context: link it once.
+        ctxs = list(dict.fromkeys(
+            ctx for _payload, _future, ctx in batch if ctx is not None
+        ))
         try:
             results = self._run_traced(payloads, ctxs)
             if len(results) != len(batch):
@@ -277,26 +298,11 @@ class MicroBatcher:
         )
 
     def _loop(self) -> None:
-        while not self._draining:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                break
-            self._execute(self._collect(item))
-        # Anything still queued arrived after close() raced past the
-        # closed check; fail those requests explicitly rather than
-        # leaving their futures pending forever.
         while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                continue
-            _payload, future, _ctx = item
-            if not future.done():
-                future.set_exception(
-                    ServiceClosed(f"{self.name}: batcher is shut down")
-                )
+            batch = self._next_batch()
+            if not batch:
+                return
+            self._execute(batch)
 
     # -- lifecycle -------------------------------------------------------
     def close(self, timeout: Optional[float] = None) -> None:
@@ -305,16 +311,14 @@ class MicroBatcher:
         Every request admitted before the call completes normally; later
         submissions raise :class:`ServiceClosed`.  Idempotent.
         """
-        if not self._closed.is_set():
-            self._closed.set()
-            # The queue is bounded and admissions are closed, so a
-            # blocking put can only wait for the draining worker.
-            self._queue.put(_SENTINEL)
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         self._worker.join(timeout)
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._closed
 
     @property
     def stats(self) -> dict:
@@ -324,7 +328,7 @@ class MicroBatcher:
             "batches": self._batches,
             "shed": self._shed,
             "timeouts": self._timeouts,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._pending),
             "max_batch_size": self.max_batch_size,
             "max_wait_us": int(round(self.max_wait_s * 1e6)),
             "closed": self.closed,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,7 +114,7 @@ class InferenceService:
         *,
         input_shape: Tuple[int, ...] = (1, 28, 28),
         max_batch_size: int = 32,
-        max_wait_us: int = 2000,
+        max_wait_us: int = 0,
         queue_depth: int = 256,
         timeout_s: float = 30.0,
         cache_size: int = 4096,
@@ -271,38 +272,43 @@ class InferenceService:
     ) -> List[Prediction]:
         """Serve a client-side batch.
 
-        Each example is admitted individually — cache hits are answered
-        immediately and misses coalesce with whatever else is in flight —
-        then all results are gathered under one deadline.
+        Every example is hashed and looked up first; cache hits are
+        answered immediately.  The misses are then admitted together
+        through :meth:`MicroBatcher.submit_many` — atomically, so they
+        coalesce into as few batches as ``max_batch_size`` allows, and
+        all-or-nothing, so an overloaded service sheds the request before
+        any of its work is queued.  Results are gathered under one
+        deadline.
         """
         batch = self.coerce_batch(data)
         deadline = time.perf_counter() + (
             self.timeout_s if timeout is None else timeout
         )
-        pending: List[Tuple[int, bytes, object]] = []
         results: List[Optional[Prediction]] = [None] * batch.shape[0]
+        misses: List[Tuple[int, bytes]] = []
         for index in range(batch.shape[0]):
             started = time.perf_counter()
-            example = np.ascontiguousarray(batch[index])
-            key = self._cache_key(example)
+            key = self._cache_key(batch[index])
             hit = self._cache_get(key)
             if hit is not None:
                 label, probs = hit
                 results[index] = Prediction(label, probs.copy(), True)
                 self._observe_request(started, cached=True)
             else:
-                pending.append((index, key, self._batcher.submit(example)))
-        for index, key, future in pending:
+                misses.append((index, key))
+        admitted = time.perf_counter()
+        futures = self._batcher.submit_many([batch[i] for i, _ in misses])
+        for (index, key), future in zip(misses, futures):
             remaining = max(deadline - time.perf_counter(), 0.0)
             try:
                 label, probs = future.result(remaining)
-            except TimeoutError:
+            except FutureTimeout:
                 raise RequestTimeout(
                     "classify: no result within the batch deadline"
                 ) from None
             self._cache_put(key, (label, probs))
             results[index] = Prediction(label, probs.copy(), False)
-            self._observe_request(deadline, cached=False, skip_latency=True)
+            self._observe_request(admitted, cached=False)
         return results  # type: ignore[return-value]
 
     def _cache_get(self, key):
@@ -324,17 +330,15 @@ class InferenceService:
         with self._cache_lock:
             cache.put(key, value)
 
-    def _observe_request(
-        self, started: float, *, cached: bool, skip_latency: bool = False
-    ) -> None:
+    def _observe_request(self, started: float, *, cached: bool) -> None:
+        """Count one answered example and its latency since ``started``."""
         self._metrics.inc("serving.requests")
         if cached:
             self._metrics.inc("serving.requests.cached")
-        if not skip_latency:
-            self._metrics.observe(
-                "serving.request_latency_ms",
-                (time.perf_counter() - started) * 1000.0,
-            )
+        self._metrics.observe(
+            "serving.request_latency_ms",
+            (time.perf_counter() - started) * 1000.0,
+        )
 
     # -- audit ------------------------------------------------------------
     def audit(

@@ -6,6 +6,7 @@ letting tests arrange exactly how full the queue is when the behaviour
 under test (shedding, draining, coalescing) fires.
 """
 
+import sys
 import threading
 
 import pytest
@@ -192,3 +193,131 @@ class TestShutdown:
         batcher.close()
         batcher.close()
         assert batcher.closed
+
+
+class TestGroupAdmission:
+    def test_default_window_is_work_conserving(self):
+        batcher = MicroBatcher(lambda p: list(p))
+        try:
+            assert batcher.max_wait_s == 0
+            assert batcher.stats["max_wait_us"] == 0
+        finally:
+            batcher.close()
+
+    def test_group_on_idle_batcher_forms_one_batch(self):
+        runner = _GatedRunner()
+        batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=16)
+        try:
+            futures = batcher.submit_many(list(range(6)))
+            assert [f.result(timeout=5.0) for f in futures] == [
+                ("ok", i) for i in range(6)
+            ]
+            # Admission is atomic, so the idle worker wakes to the whole
+            # group even with no coalescing window.
+            assert runner.batches == [list(range(6))]
+        finally:
+            batcher.close()
+
+    def test_group_behind_busy_worker_stays_one_batch(self):
+        runner = _GatedRunner(calls_to_block=1)
+        batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=16)
+        try:
+            head = batcher.submit("head")
+            assert runner.entered.wait(timeout=5.0)
+            group = batcher.submit_many(list(range(5)))
+            assert batcher.stats["queue_depth"] == 5
+            runner.release.set()
+            head.result(timeout=5.0)
+            for f in group:
+                f.result(timeout=5.0)
+            assert runner.batches == [["head"], list(range(5))]
+        finally:
+            batcher.close()
+
+    def test_group_larger_than_batch_splits_in_order(self):
+        runner = _GatedRunner()
+        batcher = MicroBatcher(runner, max_batch_size=4, queue_depth=16)
+        try:
+            futures = batcher.submit_many(list(range(10)))
+            assert [f.result(timeout=5.0) for f in futures] == [
+                ("ok", i) for i in range(10)
+            ]
+            assert runner.batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        finally:
+            batcher.close()
+
+    def test_group_that_does_not_fit_is_shed_whole(self):
+        runner = _GatedRunner(calls_to_block=1)
+        batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=4)
+        try:
+            head = batcher.submit("head")
+            assert runner.entered.wait(timeout=5.0)
+            queued = batcher.submit_many(["a", "b"])
+            with pytest.raises(QueueFullError) as excinfo:
+                batcher.submit_many(["x", "y", "z"])  # 2 + 3 > 4
+            assert excinfo.value.status == 429
+            stats = batcher.stats
+            assert stats["queue_depth"] == 2  # nothing of the group queued
+            assert stats["shed"] == 3
+            assert stats["requests"] == 3
+            runner.release.set()
+            head.result(timeout=5.0)
+            for f in queued:
+                f.result(timeout=5.0)
+            assert runner.batches == [["head"], ["a", "b"]]
+            # A group that fits is still admitted afterwards.
+            assert [f.result(timeout=5.0)
+                    for f in batcher.submit_many(["c", "d"])] == [
+                ("ok", "c"), ("ok", "d"),
+            ]
+        finally:
+            batcher.close()
+
+    def test_submit_many_after_close_raises_service_closed(self):
+        batcher = MicroBatcher(lambda p: list(p))
+        batcher.close()
+        with pytest.raises(ServiceClosed):
+            batcher.submit_many([1, 2])
+        assert batcher.stats["requests"] == 0
+
+    def test_concurrent_groups_are_never_interleaved(self):
+        """Stress: 8 threads submitting groups under a tiny switch interval.
+
+        A group is queued atomically, so in the worker's stream of
+        payloads every group's members appear back to back and in order.
+        """
+        runner = _GatedRunner()
+        batcher = MicroBatcher(runner, max_batch_size=5, queue_depth=4096)
+        errors = []
+
+        def client(thread):
+            try:
+                for group in range(20):
+                    size = 1 + (thread + group) % 7
+                    payloads = [(thread, group, i) for i in range(size)]
+                    futures = batcher.submit_many(payloads)
+                    got = [f.result(timeout=10.0) for f in futures]
+                    assert got == [("ok", p) for p in payloads]
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert not errors, errors[0]
+        stream = [p for batch in runner.batches for p in batch]
+        total = sum(1 + (t + g) % 7 for t in range(8) for g in range(20))
+        assert len(stream) == total == batcher.stats["requests"]
+        for index, (thread, group, i) in enumerate(stream):
+            if i > 0:
+                assert stream[index - 1] == (thread, group, i - 1)

@@ -1,5 +1,6 @@
 """HTTP endpoint tests: routing, payloads, and error-status mapping."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -14,6 +15,7 @@ from repro.serving import (
     ServiceClosed,
     start_server,
 )
+from repro.serving.http import ServingHandler
 
 _RNG = np.random.default_rng(3)
 
@@ -184,6 +186,96 @@ class TestOpenMetrics:
         status, payload = _get(f"{base}/metrics")
         assert status == 200
         assert "metrics" in payload and "batcher" in payload
+
+
+class _WriteRecorder:
+    """Wraps a handler's ``wfile`` and keeps every ``write`` it sees."""
+
+    def __init__(self, wfile, writes):
+        self._wfile = wfile
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+class TestResponseFraming:
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        """Socket writes of handlers set up during the test."""
+        writes = []
+        setup = ServingHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = _WriteRecorder(handler.wfile, writes)
+
+        monkeypatch.setattr(ServingHandler, "setup", recording_setup)
+        return writes
+
+    @staticmethod
+    def _exchange(server, body):
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=30)
+        try:
+            conn.request("POST", "/classify", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
+
+    @staticmethod
+    def _assert_one_framed_write(writes, status, body):
+        assert len(writes) == 1, [len(w) for w in writes]
+        head, sep, payload = writes[0].partition(b"\r\n\r\n")
+        assert sep and payload == body
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert int(headers["Content-Length"]) == len(body)
+
+    def test_classify_response_leaves_in_one_write(self, served, writes):
+        _base, _service, server = served
+        xs = _RNG.random((3, 784)).tolist()
+        status, body = self._exchange(
+            server, json.dumps({"inputs": xs}).encode()
+        )
+        assert status == 200
+        assert len(json.loads(body)["predictions"]) == 3
+        self._assert_one_framed_write(writes, 200, body)
+
+    def test_error_response_leaves_in_one_write(self, served, writes):
+        _base, _service, server = served
+        status, body = self._exchange(
+            server, json.dumps({"input": [1.0, 2.0]}).encode()
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "bad_request"
+        self._assert_one_framed_write(writes, 400, body)
+
+    def test_keep_alive_serves_sequential_requests(self, served):
+        _base, _service, server = served
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=30)
+        try:
+            for index in range(20):
+                xs = _RNG.random((index % 4 + 1, 784)).tolist()
+                conn.request("POST", "/classify",
+                             body=json.dumps({"inputs": xs}).encode(),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert int(response.getheader("Content-Length")) == len(body)
+                assert len(json.loads(body)["predictions"]) == len(xs)
+                assert not response.will_close
+        finally:
+            conn.close()
 
 
 def _post_traced(url, payload, header):

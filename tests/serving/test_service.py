@@ -227,3 +227,24 @@ class TestAuditAndLifecycle:
         latency = snapshot["histograms"].get("serving.request_latency_ms")
         assert latency is not None and latency["count"] >= 2
         assert {"p50", "p90", "p99"} <= set(latency)
+
+    def test_classify_many_records_latency_for_every_example(self):
+        def count():
+            histograms = service.metrics()["metrics"]["histograms"]
+            latency = histograms.get("serving.request_latency_ms")
+            return 0 if latency is None else latency["count"]
+
+        with _service(cache_size=0) as service:
+            before = count()
+            service.classify_many(_RNG.random((5, 1, 28, 28)))
+            assert count() - before == 5
+
+    def test_default_window_is_work_conserving(self):
+        from repro.cli import build_parser
+
+        service = InferenceService(build_model("small_cnn", seed=0),
+                                   use_tape=False)
+        with service:
+            assert service.metrics()["batcher"]["max_wait_us"] == 0
+        args = build_parser().parse_args(["serve", "--untrained"])
+        assert args.max_wait_us == 0
