@@ -1,8 +1,8 @@
 """Microbenchmark: micro-batched serving vs single-request-at-a-time.
 
 The serving layer (``repro.serving``) coalesces concurrent classify
-requests into batched forward passes.  Its payoff mirrors the compiled
-tape's: per-request dispatch overhead.  A batch-1 server pays the full
+requests into batched forward passes.  Its payoff is per-request
+dispatch overhead.  A batch-1 server pays the full
 engine walk — layer dispatch, buffer allocation, per-forward telemetry —
 once per request; a micro-batched server pays it once per *batch* and
 lets the kernels amortise over the coalesced examples, so even on a
@@ -51,7 +51,6 @@ def _service(max_batch_size):
         max_batch_size=max_batch_size,
         queue_depth=256,
         cache_size=0,
-        use_tape=False,
         name="small_cnn",
     )
 

@@ -33,7 +33,6 @@ _REFERENCE = re.compile(r"benchmarks/results/[\w.\-]+\.\w+")
 # Speedup/overhead gate snapshots: each must exist and be cited by a doc.
 REQUIRED_SNAPSHOTS = (
     "benchmarks/results/hotpath_speedup.txt",
-    "benchmarks/results/tape_speedup_float64.txt",
     "benchmarks/results/telemetry_overhead.txt",
     "benchmarks/results/profiler_overhead.txt",
     "benchmarks/results/serving_throughput.txt",

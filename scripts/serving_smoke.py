@@ -85,7 +85,7 @@ def main() -> int:
     service = InferenceService(
         build_model("small_cnn", seed=0),
         max_batch_size=8, cache_size=256,
-        use_tape=False, name="small_cnn",
+        name="small_cnn",
     )
     server = start_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]

@@ -56,7 +56,6 @@ from .. import telemetry as tel
 from ..autograd import Tensor, no_grad
 from ..nn import cross_entropy
 from ..runtime import ensure_float_array
-from ..runtime.compiled import compiled_enabled
 from ..runtime.workspace import get_workspace
 from .base import project
 
@@ -193,49 +192,13 @@ class GradientEstimator:
 
 
 class BackpropGradient(GradientEstimator):
-    """White-box gradient through the autograd engine (one fwd + bwd).
-
-    When the runtime ``compiled`` toggle is on, the forward/backward pair
-    runs through a :class:`~repro.autograd.tape.CompiledStep` keyed on the
-    iterate's shape/dtype, so repeated attack iterations replay a traced
-    tape instead of rebuilding the graph (bit-for-bit identical grads).
-    """
+    """White-box gradient through the autograd engine (one fwd + bwd)."""
 
     def __init__(self, model, loss_fn: Callable = cross_entropy) -> None:
         self.model = model
         self.loss_fn = loss_fn
-        self._compiled = None
-
-    def _compiled_step(self):
-        if self._compiled is None:
-            from ..autograd.tape import CompiledStep
-
-            model, loss_fn = self.model, self.loss_fn
-
-            def objective(x, y):
-                logits = model(x)
-                return loss_fn(logits, y), logits
-
-            # consume="all" (the default) keeps the parameter-gradient
-            # accumulation the eager backward performs as a side effect;
-            # trainers that run attacks mid-batch rely on it bit-for-bit.
-            self._compiled = CompiledStep(
-                objective,
-                grad_inputs=(0,),
-                name="attack.backprop",
-            )
-        return self._compiled
 
     def __call__(self, x, y, state: LoopState) -> np.ndarray:
-        if compiled_enabled():
-            result = self._compiled_step()(ensure_float_array(x), y)
-            grad = result.input_grads[0]
-            if grad is None:
-                raise RuntimeError(
-                    "input received no gradient; is the model differentiable?"
-                )
-            state.logits = np.asarray(result.outputs[1])
-            return grad
         x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
         logits = self.model(x_tensor)
         loss = self.loss_fn(logits, y)

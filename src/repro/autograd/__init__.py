@@ -67,7 +67,6 @@ from .ops_shape import (
     stack,
     transpose,
 )
-from .tape import CompiledStep, StepResult, TapeUnsupported
 
 __all__ = [
     "Tensor",
@@ -78,10 +77,6 @@ __all__ = [
     "set_grad_enabled",
     "check_gradients",
     "numerical_gradient",
-    # compiled tape
-    "CompiledStep",
-    "StepResult",
-    "TapeUnsupported",
     # basic
     "add",
     "sub",

@@ -44,8 +44,6 @@ __all__ = [
     "is_grad_enabled",
     "set_grad_enabled",
     "as_tensor",
-    "active_tracer",
-    "set_tracer",
 ]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
@@ -59,36 +57,6 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
-
-
-class _TracerState(threading.local):
-    """Thread-local hook point for the compiled tape's tracer.
-
-    While a tracer is installed, :meth:`Function.apply` reports every op it
-    executes (``record_apply``) and :meth:`Tensor.backward` reports each ctx
-    in the exact order the engine processes it (``record_backward``).  The
-    eager computation itself is unchanged — tracing *is* an eager run plus
-    observation, which is what makes the first compiled call bit-identical
-    to eager by construction.  See :mod:`repro.autograd.tape`.
-    """
-
-    def __init__(self) -> None:
-        self.active = None
-
-
-_tracer_state = _TracerState()
-
-
-def active_tracer():
-    """The tracer currently observing this thread, or ``None``."""
-    return _tracer_state.active
-
-
-def set_tracer(tracer):
-    """Install (or clear, with ``None``) the thread's tracer; returns previous."""
-    previous = _tracer_state.active
-    _tracer_state.active = tracer
-    return previous
 
 
 def is_grad_enabled() -> bool:
@@ -147,10 +115,9 @@ class Function:
         """Whether the input at ``position`` needs its gradient computed.
 
         Backwards use this to skip dead gradients (frozen parameters,
-        constant operands, tape-DCE'd edges).  Defaults to ``True`` when
-        the mask is unset — e.g. a backward invoked directly in a test —
-        so skipping is only ever an optimisation, never a behaviour
-        change.
+        constant operands).  Defaults to ``True`` when the mask is unset
+        — e.g. a backward invoked directly in a test — so skipping is
+        only ever an optimisation, never a behaviour change.
         """
         mask = self.needs_input_grad
         return mask[position] if position < len(mask) else True
@@ -185,17 +152,6 @@ class Function:
                 isinstance(a, Tensor) and a.requires_grad for a in args
             )
             out._ctx = ctx
-        tracer = _tracer_state.active
-        if tracer is not None:
-            if not requires:
-                # The tape replays non-recorded ops too (e.g. under no_grad
-                # sections of the step); give their ctx the same metadata a
-                # recorded ctx would carry so replay can re-run forward.
-                ctx.inputs = tuple(args)
-                ctx.needs_input_grad = tuple(
-                    isinstance(a, Tensor) and a.requires_grad for a in args
-                )
-            tracer.record_apply(cls, ctx, args, kwargs, out, requires)
         return out
 
 
@@ -362,9 +318,6 @@ class Tensor:
             ctx = node._ctx
             if ctx is None:
                 continue
-            tracer = _tracer_state.active
-            if tracer is not None:
-                tracer.record_backward(ctx)
             input_grads = ctx.backward(ctx, node_grad)
             if not isinstance(input_grads, tuple):
                 input_grads = (input_grads,)

@@ -106,8 +106,6 @@ def softmax_cross_entropy(
             f"unknown reduction {reduction!r}; choose 'mean', 'sum' or 'none'"
         )
     check_in_unit_interval("label_smoothing", label_smoothing)
-    # copy=False keeps already-int64 label arrays identity-stable, which the
-    # compiled tape relies on to recognise them as step inputs.
     labels = np.asarray(
         labels.data if isinstance(labels, Tensor) else labels
     ).astype(np.int64, copy=False)

@@ -249,7 +249,6 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         timeout_s=args.timeout_s,
         cache_size=args.cache_size,
-        use_tape=True if args.compiled else None,
         epsilon=config.resolved_epsilon,
         name=config.model,
     )
@@ -497,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
         help="prediction-cache entries (0 disables caching)",
-    )
-    p_serve.add_argument(
-        "--compiled", action="store_true",
-        help="serve forwards as compiled-tape replays (static shapes)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -9,8 +9,7 @@ The package implements every Table I row:
 * :class:`EpochwiseAdvTrainer` — the paper's proposed method.
 
 Build any of them by paper name through :func:`build_trainer`; the list of
-canonical names is :func:`defense_names`.  (``DEFENSE_NAMES`` and
-``EXTENSION_NAMES`` remain importable as deprecated aliases.)
+canonical names is :func:`defense_names`.
 """
 
 from .adversarial import FgsmAdvTrainer, IterAdvTrainer, MixedAdversarialTrainer
@@ -62,17 +61,4 @@ __all__ = [
     "defense_names",
     "register_defense",
     "build_trainer",
-    # deprecated aliases, served lazily via __getattr__
-    "DEFENSE_NAMES",
-    "EXTENSION_NAMES",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated constants: delegate to the registry module's shim so the
-    # DeprecationWarning is emitted exactly once per import site.
-    if name in ("DEFENSE_NAMES", "EXTENSION_NAMES"):
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

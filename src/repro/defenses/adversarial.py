@@ -112,21 +112,6 @@ class MixedAdversarialTrainer(Trainer):
         alpha = self.clean_weight
         return clean_loss * alpha + adv_loss * (1.0 - alpha)
 
-    def _compiled_batch(self, batch: Batch):
-        """Compiled mixture step; generation itself stays on its own path
-        (the attack's gradient estimator compiles separately)."""
-        if (
-            type(self).compute_batch_loss
-            is not MixedAdversarialTrainer.compute_batch_loss
-        ):
-            return None
-        from ._compiled import clean_batch_loss, mixture_batch_loss
-
-        if self.in_warmup:
-            return clean_batch_loss(self, batch)
-        x_adv = self.adversarial_batch(batch)
-        return mixture_batch_loss(self, batch, x_adv)
-
 
 class FgsmAdvTrainer(MixedAdversarialTrainer):
     """Single-Adv baseline: adversarial half crafted with one FGSM step."""

@@ -239,18 +239,3 @@ class EpochwiseAdvTrainer(Trainer):
         adv_loss = self.loss_fn(self.model(Tensor(x_adv)), batch.y)
         alpha = self.clean_weight
         return clean_loss * alpha + adv_loss * (1.0 - alpha)
-
-    def _compiled_batch(self, batch: Batch):
-        """Compiled mixture step; the single cached-iterate perturbation
-        step keeps its own path (its gradient estimator compiles too)."""
-        if (
-            type(self).compute_batch_loss
-            is not EpochwiseAdvTrainer.compute_batch_loss
-        ):
-            return None
-        from ._compiled import clean_batch_loss, mixture_batch_loss
-
-        if self.in_warmup:
-            return clean_batch_loss(self, batch)
-        x_adv = self.adversarial_batch(batch)
-        return mixture_batch_loss(self, batch, x_adv)

@@ -17,17 +17,11 @@ like the paper's ``bim10_adv``/``bim30_adv`` columns.  Attack *names*
 inside the trainers are no longer spelled here at all; the trainers build
 their training attacks through the canonical attack registry
 (:func:`repro.attacks.build_attack`).
-
-``DEFENSE_NAMES`` and ``EXTENSION_NAMES`` are kept as deprecated module
-attributes (module ``__getattr__``); new code should call
-:func:`defense_names` or use :data:`PAPER_DEFENSES` /
-:data:`EXTENSION_DEFENSES`.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Callable, Dict, Optional, Tuple
 
 from ..nn import Module
@@ -61,24 +55,6 @@ PAPER_DEFENSES = (
 
 # Extension baselines beyond the paper (future-work section).
 EXTENSION_DEFENSES = ("pgd_adv", "free_adv", "trades", "label_smooth")
-
-# Deprecated aliases for the two tuples above, served via __getattr__.
-_DEPRECATED_CONSTANTS = {
-    "DEFENSE_NAMES": PAPER_DEFENSES,
-    "EXTENSION_NAMES": EXTENSION_DEFENSES,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        warnings.warn(
-            f"repro.defenses.{name} is deprecated; use "
-            "defense_names() / PAPER_DEFENSES / EXTENSION_DEFENSES",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # name -> builder(model, optimizer, epsilon, kwargs) -> Trainer

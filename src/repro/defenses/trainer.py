@@ -23,7 +23,6 @@ from ..autograd import Tensor
 from ..data.loader import Batch, DataLoader
 from ..nn import Module, cross_entropy
 from ..optim import LRScheduler, Optimizer
-from ..runtime.compiled import compiled_enabled
 from ..runtime.workspace import get_workspace
 from ..telemetry import ConsoleEvents
 from ..utils.timing import EpochTimer
@@ -102,19 +101,6 @@ class Trainer:
         logits = self.model(Tensor(batch.x))
         return self.loss_fn(logits, batch.y)
 
-    def _compiled_batch(self, batch: Batch) -> Optional[float]:
-        """Run one batch through the compiled tape; ``None`` keeps eager.
-
-        Only the loss expression this class defines is compiled: a
-        subclass that overrides :meth:`compute_batch_loss` with its own
-        objective falls back to eager automatically.
-        """
-        if type(self).compute_batch_loss is not Trainer.compute_batch_loss:
-            return None
-        from ._compiled import clean_batch_loss
-
-        return clean_batch_loss(self, batch)
-
     def on_epoch_start(self, epoch: int) -> None:
         """Hook invoked before each epoch's first batch."""
 
@@ -143,21 +129,13 @@ class Trainer:
             if batch is None:
                 break
             self.optimizer.zero_grad()
-            # The compiled tape fuses forward+backward into one traced
-            # replay; when it declines (toggle off, unsupported objective)
-            # the eager spans below run unchanged.
-            loss_value = (
-                self._compiled_batch(batch) if compiled_enabled() else None
-            )
-            if loss_value is None:
-                with tel.span("forward"):
-                    loss = self.compute_batch_loss(batch)
-                with tel.span("backward"):
-                    loss.backward()
-                loss_value = loss.item()
+            with tel.span("forward"):
+                loss = self.compute_batch_loss(batch)
+            with tel.span("backward"):
+                loss.backward()
             with tel.span("optimizer"):
                 self.optimizer.step()
-            losses.append(loss_value)
+            losses.append(loss.item())
         self.on_epoch_end(self.epoch)
         self.epoch += 1
         if self.scheduler is not None:

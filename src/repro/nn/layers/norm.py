@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...autograd import Tensor
-from ...autograd.engine import active_tracer
 from ...runtime import compute_dtype
 from ..module import Module, Parameter
 
@@ -57,15 +56,6 @@ class _BatchNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply the layer to ``x``."""
-        tracer = active_tracer()
-        if tracer is not None:
-            # Running statistics are read and updated outside the autograd
-            # graph: a replayed tape would freeze them at their trace-time
-            # values (eval) or skip the update entirely (train).
-            tracer.poison(
-                "batch normalization keeps running statistics outside the "
-                "graph and cannot be replayed"
-            )
         axes = self._reduction_axes(x)
         shape = self._param_shape(x)
         if self.training:

@@ -11,8 +11,8 @@ across ``N`` persistent forked workers:
    streams a sharded source with at least one shard per worker, else the
    legacy ``index % N`` striping — runs adversarial-example generation plus
    forward/backward on its own trainer replica — with its own workspace
-   pool and, when enabled, its own compiled tape — and writes its
-   shard-weighted gradients into its private shared-memory slot;
+   pool — and writes its shard-weighted gradients into its private
+   shared-memory slot;
 3. the parent all-reduces the per-worker slots **in worker order** (so the
    summation order, and therefore the result, is deterministic for a given
    worker count), installs the reduced gradients on the wrapped model and
@@ -51,7 +51,6 @@ from .. import telemetry as tel
 from ..data.loader import Batch, DataLoader
 from ..defenses.trainer import Trainer
 from ..runtime import accum_dtype
-from ..runtime.compiled import compiled_enabled
 from .pool import WorkerCrash, WorkerPool, resolve_workers
 from .shm import SharedArray
 
@@ -188,15 +187,11 @@ class _WorkerContext:
             "shard", worker=worker_id, epoch=epoch, examples=n_shard
         ) as shard_span:
             trainer.optimizer.zero_grad()
-            loss_value = (
-                trainer._compiled_batch(batch) if compiled_enabled() else None
-            )
-            if loss_value is None:
-                with tel.span("forward"):
-                    loss = trainer.compute_batch_loss(batch)
-                with tel.span("backward"):
-                    loss.backward()
-                loss_value = loss.item()
+            with tel.span("forward"):
+                loss = trainer.compute_batch_loss(batch)
+            with tel.span("backward"):
+                loss.backward()
+            loss_value = loss.item()
         # The serial loss is the batch mean: sum_w (n_w/n) * shard_mean_w.
         # Scaling the finished gradients (not the loss) keeps the shard's
         # backward pass identical to serial; with one worker the scale is

@@ -31,14 +31,8 @@ from .policy import (
     resolve_policy,
     set_default_policy,
 )
-from .compiled import (
-    compiled,
-    compiled_enabled,
-    set_compiled,
-)
 from .workspace import (
     Workspace,
-    WorkspaceLease,
     clear_workspace,
     get_workspace,
     hotpaths,
@@ -59,13 +53,9 @@ __all__ = [
     "grad_check_dtype",
     "ensure_float_array",
     "Workspace",
-    "WorkspaceLease",
     "get_workspace",
     "clear_workspace",
     "hotpaths",
     "hotpaths_enabled",
     "set_hotpaths",
-    "compiled",
-    "compiled_enabled",
-    "set_compiled",
 ]

@@ -41,81 +41,12 @@ import numpy as np
 
 __all__ = [
     "Workspace",
-    "WorkspaceLease",
     "get_workspace",
     "clear_workspace",
     "hotpaths",
     "hotpaths_enabled",
     "set_hotpaths",
 ]
-
-
-class WorkspaceLease:
-    """A set of buffers pinned out of the pool for a long-lived consumer.
-
-    The per-step ``acquire``/``release`` contract assumes buffers die within
-    the step that acquired them.  The compiled tape engine instead holds its
-    replay buffers (fused-kernel scratch, gradient accumulators) across an
-    unbounded number of steps; a lease makes that ownership explicit: the
-    buffers are drawn through the pool (so a retrace after an invalidation
-    recycles the previous tape's memory), counted in the
-    ``workspace.pool.leased_bytes`` gauge while pinned, and returned to the
-    pool in one :meth:`release` when the owning tape is evicted.
-    """
-
-    __slots__ = ("_workspace", "_buffers", "nbytes")
-
-    def __init__(self, workspace: "Workspace") -> None:
-        self._workspace = workspace
-        self._buffers: list = []
-        self.nbytes = 0
-
-    def acquire(self, shape, dtype) -> np.ndarray:
-        """Pin a buffer (undefined contents) until :meth:`release`."""
-        buffer = self._workspace.acquire(shape, dtype)
-        self._buffers.append(buffer)
-        self.nbytes += buffer.nbytes
-        self._workspace.leased_bytes += buffer.nbytes
-        return buffer
-
-    def zeros(self, shape, dtype) -> np.ndarray:
-        """Pin a zero-filled buffer."""
-        buffer = self.acquire(shape, dtype)
-        buffer.fill(0)
-        return buffer
-
-    def full(self, shape, dtype, value) -> np.ndarray:
-        """Pin a constant-filled buffer."""
-        buffer = self.acquire(shape, dtype)
-        buffer.fill(value)
-        return buffer
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-    def donate(self, buffer) -> None:
-        """Untrack a pinned buffer, transferring ownership to the caller.
-
-        The buffer never returns to the pool — used when a replayed tape
-        hands a gradient accumulation buffer to a parameter's ``.grad``
-        (matching the eager engine's buffer donation) instead of copying
-        out of it; releasing it later would let the pool hand the array to
-        another consumer while the gradient still references it.
-        """
-        for index, pinned in enumerate(self._buffers):
-            if pinned is buffer:
-                del self._buffers[index]
-                self.nbytes -= buffer.nbytes
-                self._workspace.leased_bytes -= buffer.nbytes
-                return
-
-    def release(self) -> None:
-        """Return every pinned buffer to the pool (idempotent)."""
-        self._workspace.leased_bytes -= self.nbytes
-        for buffer in self._buffers:
-            self._workspace.release(buffer)
-        self._buffers = []
-        self.nbytes = 0
 
 
 class Workspace:
@@ -141,7 +72,7 @@ class Workspace:
 
     __slots__ = (
         "_free", "hits", "misses", "max_per_key", "_cached_bytes",
-        "high_water_bytes", "leased_bytes",
+        "high_water_bytes",
     )
 
     def __init__(self, max_per_key: int = 16) -> None:
@@ -151,11 +82,6 @@ class Workspace:
         self.max_per_key = int(max_per_key)
         self._cached_bytes = 0
         self.high_water_bytes = 0
-        self.leased_bytes = 0
-
-    def lease(self) -> "WorkspaceLease":
-        """Open a pinned multi-buffer lease on this pool (compiled tapes)."""
-        return WorkspaceLease(self)
 
     @staticmethod
     def _key(shape, dtype):
@@ -231,7 +157,6 @@ class Workspace:
             "workspace.pool.bytes": self._cached_bytes,
             "workspace.pool.high_water_bytes": self.high_water_bytes,
             "workspace.pool.buffers": self.cached_buffers,
-            "workspace.pool.leased_bytes": self.leased_bytes,
         }
 
 

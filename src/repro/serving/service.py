@@ -21,14 +21,6 @@ the compute dtype, and the model name) computed once at construction.
 The model is frozen while served, so a cached prediction is exactly the
 array a cold forward pass of the same bytes produced — hits are returned
 as copies and are bit-identical to the stored cold result.
-
-Compiled-tape forward
----------------------
-With ``use_tape=True`` (or ambient ``REPRO_COMPILED=1``) the batched
-forward runs under :class:`repro.autograd.tape.CompiledStep`: batches are
-zero-padded to a fixed shape so one traced variant replays every request
-allocation-free, and ``consume=()`` dead-code-eliminates the entire
-replayed backward — the tape executes forward entries only.
 """
 
 from __future__ import annotations
@@ -44,10 +36,9 @@ import numpy as np
 from .. import telemetry as tel
 from ..attacks import build_attack, parse_attack_spec
 from ..autograd import as_tensor, no_grad
-from ..autograd.tape import CompiledStep
 from ..eval.robustness import clean_accuracy, robust_accuracy
 from ..nn import Module
-from ..runtime import compiled_enabled, compute_dtype
+from ..runtime import compute_dtype
 from ..utils.lru import LRUCache
 from .batching import MicroBatcher, RequestTimeout
 
@@ -97,9 +88,6 @@ class InferenceService:
         Default per-request deadline for :meth:`classify`.
     cache_size:
         Prediction-cache capacity in entries; 0 disables caching.
-    use_tape:
-        Run the batched forward as a compiled-tape replay.  ``None``
-        (default) follows the ambient ``repro.runtime.compiled`` toggle.
     epsilon:
         Default perturbation budget for :meth:`audit` attack specs that
         do not name one.
@@ -118,7 +106,6 @@ class InferenceService:
         queue_depth: int = 256,
         timeout_s: float = 30.0,
         cache_size: int = 4096,
-        use_tape: Optional[bool] = None,
         epsilon: float = 0.25,
         name: str = "model",
     ) -> None:
@@ -137,20 +124,6 @@ class InferenceService:
         )
         self._cache_lock = threading.Lock()
         self._audit_lock = threading.Lock()
-        if use_tape is None:
-            use_tape = compiled_enabled()
-        self._tape: Optional[CompiledStep] = None
-        self._pad_buf: Optional[np.ndarray] = None
-        if use_tape:
-            # One traced variant serves every batch: pad to a fixed shape
-            # and replay forward-only (consume=() DCEs the backward).
-            self._tape = CompiledStep(
-                self._tape_step, grad_inputs=(), consume=(),
-                max_variants=1, name=f"serve-{name}",
-            )
-            self._pad_buf = np.zeros(
-                (max_batch_size, *self.input_shape), dtype=self._dtype
-            )
         self._batcher = MicroBatcher(
             self._infer_batch,
             max_batch_size=max_batch_size,
@@ -209,28 +182,7 @@ class InferenceService:
         return np.ascontiguousarray(arr)
 
     # -- the batched forward ----------------------------------------------
-    def _tape_step(self, x):
-        logits = self._model(x)
-        # The tape needs a scalar loss to seed tracing; consume=() strips
-        # the replayed backward so the sum costs one reduction per batch.
-        return logits.sum(), logits
-
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        if self._tape is not None:
-            n = x.shape[0]
-            padded = self._pad_buf
-            if n > padded.shape[0]:  # direct classify_many over-batch
-                padded = np.zeros(
-                    (n, *self.input_shape), dtype=self._dtype
-                )
-            padded[:n] = x
-            padded[n:] = 0.0
-            result = self._tape(padded)
-            if not result.compiled:
-                # The trace ran eagerly, including a backward pass whose
-                # parameter gradients serving must not leak.
-                self._model.zero_grad()
-            return result.outputs[1][:n]
         with no_grad():
             return self._model(as_tensor(x)).data
 
@@ -421,15 +373,12 @@ class InferenceService:
             "metrics": self._metrics.snapshot(),
             "batcher": self._batcher.stats,
             "cache": cache_stats,
-            "tape": self._tape.stats if self._tape is not None else None,
         }
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, timeout: Optional[float] = None) -> None:
-        """Graceful shutdown: drain in-flight requests, release the tape."""
+        """Graceful shutdown: drain in-flight requests."""
         self._batcher.close(timeout)
-        if self._tape is not None:
-            self._tape.reset()
 
     def __enter__(self) -> "InferenceService":
         return self

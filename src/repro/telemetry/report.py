@@ -20,14 +20,7 @@ from .sinks import load_records
 
 __all__ = ["EpochRow", "RunReport", "build_report", "render_report"]
 
-PHASES = (
-    "data", "attack", "forward", "backward", "optimizer", "tape", "parallel",
-)
-
-
-def _is_tape(path: str) -> bool:
-    """True for span paths whose leaf is a compiled-tape span."""
-    return path.rsplit("/", 1)[-1].startswith("tape.")
+PHASES = ("data", "attack", "forward", "backward", "optimizer", "parallel")
 
 
 def _format_table(
@@ -69,51 +62,25 @@ class EpochRow:
             entry = children.get(path)
             return float(entry["total"]) if entry else 0.0
 
-        def tape_under(prefix: str) -> float:
-            # Compiled-tape time nested directly under one span path.
-            head = prefix + "/"
-            return sum(
-                float(entry["total"])
-                for path, entry in children.items()
-                if path.startswith(head) and _is_tape(path)
-            )
-
-        # Compiled-tape trace/replay time, wherever it ran (top level for
-        # the trainers' compiled batch step, under attack for the compiled
-        # gradient estimator); reported as its own phase and excluded from
-        # the phase it nests inside so the columns still sum to the total.
-        tape = sum(
-            float(entry["total"])
-            for path, entry in children.items()
-            if _is_tape(path)
-        )
         # Attack time may be nested inside the forward phase (mixture
         # trainers craft the adversarial half while computing the batch
         # loss) or recorded at the top level; count each occurrence once.
         attack = sum(
-            float(entry["total"]) - tape_under(path)
+            float(entry["total"])
             for path, entry in children.items()
             if path == "attack" or path.endswith("/attack")
         )
         self.phases: Dict[str, float] = {
             "data": total_of("data"),
             "attack": attack,
-            # Tape time under forward/attack is already removed with the
-            # forward/attack total, so only subtract the directly-nested
-            # remainder.
-            "forward": (
-                total_of("forward")
-                - total_of("forward/attack")
-                - (tape_under("forward") - tape_under("forward/attack"))
-            ),
+            "forward": total_of("forward") - total_of("forward/attack"),
             "backward": total_of("backward"),
             "optimizer": total_of("optimizer"),
-            "tape": tape,
             # Data-parallel epochs spend their whole batch step (dispatch,
             # worker wait, gradient reduce) inside one ``parallel`` span;
             # the per-worker phase folds nested under it use dotted leaf
             # names (``parallel/w0.attack``) precisely so they are not
-            # double-counted into the serial attack/tape columns above.
+            # double-counted into the serial attack column above.
             "parallel": total_of("parallel"),
         }
         direct = sum(

@@ -1,17 +1,17 @@
 """Shared bounded LRU cache with hit/miss counters and eviction callback.
 
-Two hot subsystems keep a small most-recently-used working set of
-expensive values: the compiled autograd tape caches replayable program
-variants per input signature (:mod:`repro.autograd.tape`), and the serving
-layer caches predictions per input digest (:mod:`repro.serving`).  Both
-need the same three things beyond a plain ``OrderedDict``: a capacity
+Two subsystems keep a small most-recently-used working set of expensive
+values: the serving layer caches predictions per input digest
+(:mod:`repro.serving`), and the streaming data layer keeps rendered shards
+resident (:class:`repro.data.source.ShardCache`, which layers a byte
+budget on top).  Beyond a plain ``OrderedDict`` they need a capacity
 bound enforced on insert, observable hit/miss counters for diagnostics,
 and a disposal hook so evicted values can release pooled resources
-(workspace leases, in the tape's case) instead of leaking them.
+instead of leaking them.
 
-The cache is deliberately **not** thread-safe — the tape is per-trainer
-single-threaded and the serving layer guards its instance with its own
-lock — so the common path stays free of lock overhead.
+The cache is deliberately **not** thread-safe — a caller that shares an
+instance across threads guards it with its own lock, as the serving layer
+does — so the common path stays free of lock overhead.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class LRUCache:
     def clear(self) -> None:
         """Drop every entry without invoking the eviction callback.
 
-        Callers that must dispose of the values (the tape releasing its
-        programs' workspace leases) iterate :meth:`values` first.
+        Callers that must dispose of the values (the shard cache returning
+        its buffers to the workspace pool) iterate them first.
         """
         self._data.clear()
 

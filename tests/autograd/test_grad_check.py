@@ -137,8 +137,12 @@ _CASES = {
     ),
     # ops_nn --------------------------------------------------------------
     "MatMul": (
-        lambda a, b: ops_nn.MatMul.apply(a, b),
-        [_smooth(2, 3, 4), _smooth(4, 5)],
+        lambda a, b, row, col: ops_nn.MatMul.apply(a, b)
+        + ops_nn.MatMul.apply(row, b)
+        + ops_nn.MatMul.apply(a, col),
+        # row (1, k) and col (k, 1) hit the two outer-product backward
+        # branches; the batched a @ b takes the plain GEMM path.
+        [_smooth(2, 3, 4), _smooth(4, 5), _smooth(1, 4), _smooth(4, 1)],
     ),
     "ReLU": (lambda a: ops_nn.ReLU.apply(a), [_A23]),
     "LeakyReLU": (
@@ -170,6 +174,26 @@ _CASES = {
 def test_op_gradients(name):
     fn, inputs = _CASES[name]
     check_gradients(fn, [Tensor(np.asarray(x, dtype=float)) for x in inputs])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_outer_product_backward_equals_gemm(dtype):
+    """Both length-1-contraction fast paths are bitwise equal to ``@``."""
+    row = _smooth(1, 4).astype(dtype)   # a.shape[-2] == 1: grad_b branch
+    col = _smooth(4, 1).astype(dtype)   # b.shape[-1] == 1: grad_a branch
+    a, b = _smooth(2, 3, 4).astype(dtype), _smooth(4, 5).astype(dtype)
+
+    ctx = ops_nn.MatMul()
+    ctx.save_for_backward(row, b)
+    grad_out = _smooth(1, 5).astype(dtype)
+    _, grad_b = ops_nn.MatMul.backward(ctx, grad_out)
+    assert np.array_equal(grad_b, row.T @ grad_out)
+
+    ctx = ops_nn.MatMul()
+    ctx.save_for_backward(a, col)
+    grad_out = _smooth(2, 3, 1).astype(dtype)
+    grad_a, _ = ops_nn.MatMul.backward(ctx, grad_out)
+    assert np.array_equal(grad_a, grad_out @ col.T)
 
 
 def test_every_registered_op_has_a_gradient_case():

@@ -4,10 +4,10 @@ import pytest
 
 from repro.defenses import (
     AtdaTrainer,
-    DEFENSE_NAMES,
     EpochwiseAdvTrainer,
     FgsmAdvTrainer,
     IterAdvTrainer,
+    PAPER_DEFENSES,
     Trainer,
     build_trainer,
 )
@@ -38,7 +38,7 @@ class TestBuildTrainer:
         assert t30.num_steps == 30
 
     def test_all_names_listed(self):
-        for name in DEFENSE_NAMES:
+        for name in PAPER_DEFENSES:
             build_trainer(name, mnist_mlp(seed=0), epsilon=0.2)
 
     def test_unknown_name(self):
@@ -98,23 +98,6 @@ class TestCanonicalNamesAndShim:
 
         for name in defense_names():
             build_trainer(name, mnist_mlp(seed=0), epsilon=0.2)
-
-    def test_deprecated_constants_warn_but_resolve(self):
-        import importlib
-
-        import repro.defenses as defenses
-        from repro.defenses.registry import (
-            EXTENSION_DEFENSES,
-            PAPER_DEFENSES,
-        )
-
-        with pytest.warns(DeprecationWarning, match="DEFENSE_NAMES"):
-            assert defenses.DEFENSE_NAMES == PAPER_DEFENSES
-        with pytest.warns(DeprecationWarning, match="EXTENSION_NAMES"):
-            assert defenses.EXTENSION_NAMES == EXTENSION_DEFENSES
-        registry = importlib.import_module("repro.defenses.registry")
-        with pytest.warns(DeprecationWarning):
-            assert registry.DEFENSE_NAMES == PAPER_DEFENSES
 
     def test_old_row_names_still_resolve(self):
         """The pre-registry names keep building the same trainer types."""

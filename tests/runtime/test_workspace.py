@@ -103,58 +103,3 @@ class TestHotpathToggle:
 
     def test_module_workspace_is_per_thread_singleton(self):
         assert get_workspace() is get_workspace()
-
-
-class TestWorkspaceLease:
-    def test_lease_pins_buffers_and_release_returns_them(self):
-        ws = Workspace()
-        lease = ws.lease()
-        buf = lease.acquire((8, 8), np.float64)
-        assert len(lease) == 1
-        assert ws.leased_bytes == buf.nbytes
-        assert ws.cached_buffers == 0  # pinned, not free
-        lease.release()
-        assert ws.leased_bytes == 0
-        assert ws.acquire((8, 8), np.float64) is buf  # recycled
-
-    def test_zeros_and_full_initialise_contents(self):
-        ws = Workspace()
-        lease = ws.lease()
-        z = lease.zeros((3,), np.float64)
-        f = lease.full((3,), np.float64, 7.5)
-        assert np.array_equal(z, np.zeros(3))
-        assert np.array_equal(f, np.full(3, 7.5))
-        lease.release()
-
-    def test_donate_transfers_ownership_out_of_the_pool(self):
-        ws = Workspace()
-        lease = ws.lease()
-        kept = lease.acquire((4, 4), np.float64)
-        donated = lease.acquire((2, 2), np.float64)
-        lease.donate(donated)
-        assert len(lease) == 1
-        assert ws.leased_bytes == kept.nbytes
-        lease.release()
-        # The donated buffer must never re-enter the pool: a fresh acquire
-        # of its shape allocates anew instead of handing out the array the
-        # caller (a parameter's .grad) still references.
-        assert ws.acquire((2, 2), np.float64) is not donated
-        assert ws.acquire((4, 4), np.float64) is kept
-
-    def test_donate_unknown_buffer_is_a_noop(self):
-        ws = Workspace()
-        lease = ws.lease()
-        buf = lease.acquire((4,), np.float64)
-        lease.donate(np.empty(4))
-        assert len(lease) == 1
-        assert ws.leased_bytes == buf.nbytes
-        lease.release()
-
-    def test_release_is_idempotent(self):
-        ws = Workspace()
-        lease = ws.lease()
-        lease.acquire((4,), np.float64)
-        lease.release()
-        lease.release()
-        assert ws.leased_bytes == 0
-        assert ws.cached_buffers == 1

@@ -14,7 +14,7 @@ _RNG = np.random.default_rng(7)
 def _service(**kwargs):
     defaults = dict(
         max_batch_size=8, max_wait_us=500, queue_depth=64,
-        cache_size=128, use_tape=False, name="small_cnn",
+        cache_size=128, name="small_cnn",
     )
     defaults.update(kwargs)
     return InferenceService(build_model("small_cnn", seed=0), **defaults)
@@ -106,27 +106,9 @@ class TestPredictionCache:
             sig_a = service_a.signature
         service_b = InferenceService(
             build_model("small_cnn", seed=1), name="small_cnn",
-            use_tape=False,
         )
         with service_b:
             assert service_b.signature != sig_a
-
-
-class TestCompiledTapeServing:
-    def test_tape_replay_matches_eager_forward(self):
-        batch = _RNG.random((12, 1, 28, 28))
-        with _service(cache_size=0, use_tape=False) as eager, \
-                _service(cache_size=0, use_tape=True) as taped:
-            eager_preds = [eager.classify(x) for x in batch]
-            taped_preds = [taped.classify(x) for x in batch]
-            stats = taped.metrics()["tape"]
-        assert stats["disabled"] is None
-        assert stats["hits"] > 0
-        assert [p.label for p in taped_preds] == [
-            p.label for p in eager_preds
-        ]
-        for a, b in zip(taped_preds, eager_preds):
-            assert np.allclose(a.probs, b.probs, atol=1e-9)
 
 
 class TestConcurrency:
@@ -196,7 +178,7 @@ class TestAuditAndLifecycle:
     def test_audit_leaves_no_parameter_gradients(self):
         x = _RNG.random((4, 1, 28, 28))
         model = build_model("small_cnn", seed=0)
-        service = InferenceService(model, use_tape=False)
+        service = InferenceService(model)
         with service:
             service.audit(["fgsm"], x, np.zeros(4, dtype=np.int64))
         assert all(p.grad is None for p in model.parameters())
@@ -242,8 +224,7 @@ class TestAuditAndLifecycle:
     def test_default_window_is_work_conserving(self):
         from repro.cli import build_parser
 
-        service = InferenceService(build_model("small_cnn", seed=0),
-                                   use_tape=False)
+        service = InferenceService(build_model("small_cnn", seed=0))
         with service:
             assert service.metrics()["batcher"]["max_wait_us"] == 0
         args = build_parser().parse_args(["serve", "--untrained"])

@@ -16,7 +16,6 @@ from repro.data import DataLoader
 from repro.defenses import Checkpointer, EarlyStopping, build_trainer
 from repro.eval import RobustnessEvaluator
 from repro.models import mnist_mlp
-from repro.runtime import compiled_enabled
 from repro.telemetry import InMemorySink, build_report
 
 
@@ -67,13 +66,8 @@ class TestEpochwiseRun:
         for row in adversarial:
             assert row.phases["attack"] > 0.0
         for row in report.epochs:
-            if compiled_enabled():
-                # The compiled tape fuses forward+backward into replayed
-                # trace time, reported as its own phase.
-                assert row.phases["tape"] > 0.0
-            else:
-                assert row.phases["forward"] > 0.0
-                assert row.phases["backward"] > 0.0
+            assert row.phases["forward"] > 0.0
+            assert row.phases["backward"] > 0.0
             assert row.phases["optimizer"] > 0.0
             assert sum(row.phases.values()) <= row.total
         assert report.time_per_epoch("epochwise_adv") == pytest.approx(
