@@ -17,8 +17,8 @@ import pytest
 from repro.autograd import Tensor, conv2d, matmul
 from repro.autograd._im2col import im2col
 from repro.models import mnist_cnn, mnist_mlp
-from repro.nn import cross_entropy, cross_entropy_reference
-from repro.runtime import compute_dtype, get_workspace, hotpaths, precision
+from repro.nn import cross_entropy
+from repro.runtime import compute_dtype, get_workspace, precision
 
 DTYPES = ["float64", "float32"]
 
@@ -56,10 +56,8 @@ def test_conv2d_forward(benchmark, dtype):
 
 @pytest.mark.benchmark(group="ops-loss")
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("impl", ["fused", "composed"])
-def test_cross_entropy_forward_backward(benchmark, dtype, impl):
-    """Fused softmax-CE node vs. the composed log_softmax chain."""
-    loss_fn = cross_entropy if impl == "fused" else cross_entropy_reference
+def test_cross_entropy_forward_backward(benchmark, dtype):
+    """Fused softmax-CE node, forward + backward."""
     with precision(dtype):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(512, 10)).astype(compute_dtype())
@@ -67,22 +65,20 @@ def test_cross_entropy_forward_backward(benchmark, dtype, impl):
 
         def step():
             t = Tensor(logits, requires_grad=True)
-            loss_fn(t, y).backward()
+            cross_entropy(t, y).backward()
 
         benchmark(step)
 
 
 @pytest.mark.benchmark(group="ops-im2col")
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("impl", ["fast", "loop"])
-def test_im2col_3x3_padded(benchmark, dtype, impl):
-    """sliding_window_view + workspace gather vs. the kernel-position loop."""
+def test_im2col_3x3_padded(benchmark, dtype):
+    """sliding_window_view + workspace gather of a padded 3x3 window."""
     x = image_batch(dtype)
     workspace = get_workspace()
 
     def gather():
-        with hotpaths(impl == "fast"):
-            workspace.release(im2col(x, 3, 3, 1, 1))
+        workspace.release(im2col(x, 3, 3, 1, 1))
 
     benchmark(gather)
 

@@ -3,18 +3,11 @@
 These are plain numpy routines (no autograd involvement).  Layout convention
 throughout the project is NCHW: ``(batch, channels, height, width)``.
 
-Two implementations live side by side, dispatched on the runtime hot-path
-flag (:func:`repro.runtime.hotpaths_enabled`):
-
-* the **fast** kernels gather patches through
-  ``np.lib.stride_tricks.sliding_window_view`` (a zero-copy strided view;
-  the only copy is the single C-level write into the column matrix) and
-  draw the column/padded scratch buffers from the per-thread
-  :class:`~repro.runtime.Workspace` pool so the identically-shaped
-  per-batch buffers are reused across training steps;
-* the **reference** kernels are the original kernel-position loops, kept
-  both as the ground truth the fast path is tested against and as the
-  pre-overhaul baseline the benchmark speedup gate times.
+Patches are gathered through ``np.lib.stride_tricks.sliding_window_view``
+(a zero-copy strided view; the only copy is the single C-level write into
+the column matrix), and the column/padded scratch buffers are drawn from
+the per-thread :class:`~repro.runtime.Workspace` pool so the
+identically-shaped per-batch buffers are reused across training steps.
 
 Buffer ownership: ``im2col`` returns a workspace-acquired buffer the
 *caller* owns and should release once the columns are dead (see
@@ -28,14 +21,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..runtime import get_workspace, hotpaths_enabled
+from ..runtime import get_workspace
 
 __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
-    "im2col_reference",
-    "col2im_reference",
 ]
 
 
@@ -71,11 +62,9 @@ def im2col(
     Returns
     -------
     Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)`` where each
-    row is one receptive field.  On the hot path this is a workspace buffer
-    owned by the caller.
+    row is one receptive field.  This is a workspace buffer owned by the
+    caller.
     """
-    if not hotpaths_enabled():
-        return im2col_reference(x, kernel_h, kernel_w, stride, padding, pad_value)
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
@@ -116,10 +105,6 @@ def col2im(
     padding: int,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image."""
-    if not hotpaths_enabled():
-        return col2im_reference(
-            cols, input_shape, kernel_h, kernel_w, stride, padding
-        )
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
@@ -151,8 +136,8 @@ def col2im(
         return padded
     # General case: scatter-add in NHWC layout.  With channels innermost
     # both the (strided) destination window and the column slice touch
-    # memory in near-contiguous runs, which is markedly faster than the
-    # channels-first scatter the reference kernel uses.
+    # memory in near-contiguous runs, which is markedly faster than a
+    # channels-first scatter.
     padded = ws.acquire((n, padded_h, padded_w, c), cols.dtype)
     padded.fill(0.0)
     for i in range(kernel_h):
@@ -168,64 +153,3 @@ def col2im(
     out[...] = core.transpose(0, 3, 1, 2)
     ws.release(padded)
     return out
-
-
-# ----------------------------------------------------------------------
-# reference implementations (pre-overhaul kernels)
-# ----------------------------------------------------------------------
-def im2col_reference(
-    x: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-    pad_value: float = 0.0,
-) -> np.ndarray:
-    """Kernel-position-loop :func:`im2col` (ground truth / baseline)."""
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-            constant_values=pad_value,
-        )
-    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        n * out_h * out_w, c * kernel_h * kernel_w
-    )
-
-
-def col2im_reference(
-    cols: np.ndarray,
-    input_shape: tuple,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Kernel-position-loop :func:`col2im` (ground truth / baseline)."""
-    n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-    cols = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros(
-        (n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype
-    )
-    for i in range(kernel_h):
-        i_max = i + stride * out_h
-        for j in range(kernel_w):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded

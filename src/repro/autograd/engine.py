@@ -30,12 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..runtime import (
-    accum_dtype,
-    compute_dtype,
-    get_workspace,
-    hotpaths_enabled,
-)
+from ..runtime import accum_dtype, compute_dtype, get_workspace
 
 __all__ = [
     "Tensor",
@@ -283,7 +278,6 @@ class Tensor:
         # arrays returned by a Function.backward may alias its saved state
         # or be shared between several of its inputs.
         owned: set[int] = set()
-        hot = hotpaths_enabled()
         workspace = get_workspace()
         for node in order:
             node_grad = grads.pop(id(node), None)
@@ -305,8 +299,7 @@ class Tensor:
                 else:
                     existing = node.grad
                     if (
-                        hot
-                        and np.result_type(existing.dtype, node_grad.dtype)
+                        np.result_type(existing.dtype, node_grad.dtype)
                         == existing.dtype
                     ):
                         np.add(existing, node_grad, out=existing)
@@ -345,8 +338,6 @@ class Tensor:
                 if current is None:
                     grads[key] = g
                     stored.append(g)
-                elif not hot:
-                    grads[key] = current + g
                 elif (
                     id(current) in owned
                     and np.result_type(current.dtype, g.dtype)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime import get_workspace, hotpaths_enabled
+from ..runtime import get_workspace
 from ._im2col import col2im, conv_output_size, im2col
 from .engine import Function, Tensor, as_tensor, is_grad_enabled
 from .ops_reduce import logsumexp
@@ -187,22 +187,6 @@ class Conv2d(Function):
                 "column workspace buffer has already been recycled"
             )
         c_out, c_in, kh, kw = weight.shape
-        if not hotpaths_enabled():
-            # Reference path (pre-overhaul kernels, timed as the baseline).
-            grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c_out)
-            grad_weight = (
-                (grad_mat.T @ cols).reshape(weight.shape)
-                if ctx.needs(1) else None
-            )
-            grad_bias = (
-                grad_mat.sum(axis=0) if has_bias and ctx.needs(2) else None
-            )
-            if ctx.needs(0):
-                grad_cols = grad_mat @ weight.reshape(c_out, -1)
-                grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding)
-            else:
-                grad_x = None
-            return grad_x, grad_weight, grad_bias
         workspace = get_workspace()
         # grad_output: (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out)
         n_out, _, out_h, out_w = grad_output.shape
@@ -285,7 +269,7 @@ class MaxPool2d(Function):
         out_w = conv_output_size(w, kernel_size, stride, padding)
         k2 = kernel_size * kernel_size
         workspace = get_workspace()
-        if hotpaths_enabled() and _pool_tiles(x.shape, kernel_size, stride, padding):
+        if _pool_tiles(x.shape, kernel_size, stride, padding):
             # Windows tile the image: expose them as an NCHW reshape view and
             # keep every later array in NCHW, avoiding the two NHWC transpose
             # copies the column route pays.
@@ -394,9 +378,7 @@ class AvgPool2d(Function):
         n, c, h, w = x.shape
         out_h = conv_output_size(h, kernel_size, stride, padding)
         out_w = conv_output_size(w, kernel_size, stride, padding)
-        tiled = hotpaths_enabled() and _pool_tiles(
-            x.shape, kernel_size, stride, padding
-        )
+        tiled = _pool_tiles(x.shape, kernel_size, stride, padding)
         ctx.save_for_backward(x.shape, kernel_size, stride, padding, tiled)
         if tiled:
             # Windows tile the image: reduce straight over the NCHW reshape

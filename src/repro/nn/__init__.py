@@ -28,7 +28,6 @@ from .losses import (
     MSELoss,
     NLLLoss,
     cross_entropy,
-    cross_entropy_reference,
     mse_loss,
     nll_loss,
     one_hot,
@@ -58,7 +57,6 @@ __all__ = [
     "Sequential",
     # losses
     "cross_entropy",
-    "cross_entropy_reference",
     "nll_loss",
     "mse_loss",
     "one_hot",

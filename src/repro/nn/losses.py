@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, as_tensor, log_softmax, softmax_cross_entropy
-from ..runtime import compute_dtype, hotpaths_enabled
-from ..utils.validation import check_in_unit_interval
+from ..autograd import Tensor, as_tensor, softmax_cross_entropy
+from ..runtime import compute_dtype
 from .module import Module
 
 __all__ = [
     "cross_entropy",
-    "cross_entropy_reference",
     "nll_loss",
     "mse_loss",
     "CrossEntropyLoss",
@@ -78,51 +76,16 @@ def cross_entropy(
 
     Notes
     -----
-    On the hot path (the default) this dispatches to the fused
-    :func:`repro.autograd.softmax_cross_entropy` node — one graph node with
-    a closed-form ``(softmax - target) * scale`` backward — which every
-    trainer and attack therefore inherits.  With hot paths disabled
-    (``runtime.hotpaths(False)``) the composed
-    :func:`cross_entropy_reference` formulation is used instead.
+    Dispatches to the fused :func:`repro.autograd.softmax_cross_entropy`
+    node — one graph node with a closed-form ``(softmax - target) * scale``
+    backward — which every trainer and attack therefore inherits.
     """
-    if hotpaths_enabled():
-        return softmax_cross_entropy(
-            logits,
-            labels,
-            reduction=reduction,
-            label_smoothing=label_smoothing,
-        )
-    return cross_entropy_reference(
-        logits, labels, reduction=reduction, label_smoothing=label_smoothing
+    return softmax_cross_entropy(
+        logits,
+        labels,
+        reduction=reduction,
+        label_smoothing=label_smoothing,
     )
-
-
-def cross_entropy_reference(
-    logits: Tensor,
-    labels,
-    reduction: str = "mean",
-    label_smoothing: float = 0.0,
-) -> Tensor:
-    """Composed ``log_softmax``-based cross-entropy.
-
-    Ground truth for the fused kernel's parity/gradcheck tests and the
-    pre-overhaul baseline timed by the benchmark speedup gate; same
-    signature and semantics as :func:`cross_entropy`.
-    """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be (N, C), got shape {logits.shape}")
-    check_in_unit_interval("label_smoothing", label_smoothing)
-    num_classes = logits.shape[1]
-    target = one_hot(labels, num_classes)
-    if label_smoothing > 0.0:
-        target = (
-            (1.0 - label_smoothing) * target
-            + label_smoothing / num_classes
-        )
-    log_probs = log_softmax(logits, axis=-1)
-    per_example = -(log_probs * Tensor(target)).sum(axis=-1)
-    return _reduce(per_example, reduction)
 
 
 def nll_loss(log_probs: Tensor, labels, reduction: str = "mean") -> Tensor:

@@ -14,8 +14,7 @@ parameter initialisation, dataset emission and attack arithmetic.
 Also hosts the scratch-buffer workspace (see
 :mod:`repro.runtime.workspace`): a per-thread pool the hot-path kernels
 (fused loss, im2col, backward accumulation) recycle their large buffers
-through, plus the ``hotpaths`` toggle that switches between the optimised
-kernels and the legacy reference implementations.
+through.
 """
 
 from .policy import (
@@ -35,9 +34,6 @@ from .workspace import (
     Workspace,
     clear_workspace,
     get_workspace,
-    hotpaths,
-    hotpaths_enabled,
-    set_hotpaths,
 )
 
 __all__ = [
@@ -55,7 +51,4 @@ __all__ = [
     "Workspace",
     "get_workspace",
     "clear_workspace",
-    "hotpaths",
-    "hotpaths_enabled",
-    "set_hotpaths",
 ]

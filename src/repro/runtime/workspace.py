@@ -17,25 +17,12 @@ result the engine or user code holds — it calls ``release`` to return it to
 the pool.  Buffers that escape (layer outputs, gradients handed to the
 engine) are simply never released; they are garbage-collected as usual, so
 forgetting to release is a missed optimisation, never a bug.
-
-Hot-path toggle
----------------
-``hotpaths``/``set_hotpaths`` switch the whole hot-path overhaul — the
-fused softmax-cross-entropy, the ``sliding_window_view`` im2col and the
-in-place gradient accumulation — between the optimised kernels and the
-legacy reference implementations.  With hot paths disabled ``acquire``
-degenerates to ``np.empty`` and ``release`` to a no-op, which is exactly
-the pre-overhaul allocation behaviour; the benchmark speedup gate times
-one flag value against the other.  The ``REPRO_HOTPATHS`` environment
-variable (``0``/``false`` to disable) sets the process default.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from typing import Iterator
 
 import numpy as np
 
@@ -43,9 +30,6 @@ __all__ = [
     "Workspace",
     "get_workspace",
     "clear_workspace",
-    "hotpaths",
-    "hotpaths_enabled",
-    "set_hotpaths",
 ]
 
 
@@ -91,8 +75,6 @@ class Workspace:
 
     def acquire(self, shape, dtype) -> np.ndarray:
         """Return an exclusively-owned buffer with undefined contents."""
-        if not hotpaths_enabled():
-            return np.empty(shape, dtype=dtype)
         bucket = self._free.get(self._key(shape, dtype))
         if bucket:
             self.hits += 1
@@ -108,8 +90,6 @@ class Workspace:
         Only base, C-contiguous ndarrays are pooled; anything else (views,
         non-arrays) is ignored, so callers can release unconditionally.
         """
-        if not hotpaths_enabled():
-            return
         if (
             not isinstance(array, np.ndarray)
             or array.base is not None
@@ -160,19 +140,11 @@ class Workspace:
         }
 
 
-def _default_enabled() -> bool:
-    value = os.environ.get("REPRO_HOTPATHS", "").strip().lower()
-    if value in ("0", "false", "off", "no"):
-        return False
-    return True
-
-
 class _WorkspaceState(threading.local):
-    """Per-thread pool + hot-path flag (mirrors the precision-policy stack)."""
+    """Per-thread pool (mirrors the precision-policy stack)."""
 
     def __init__(self) -> None:
         self.workspace = Workspace()
-        self.enabled = _default_enabled()
 
 
 _state = _WorkspaceState()
@@ -184,8 +156,7 @@ def _reset_after_fork() -> None:
     The buffers in an inherited pool are copy-on-write copies of the
     parent's scratch memory — recycling them in the child would silently
     double the process's resident set and break the pool's accounting
-    (hits/bytes describing buffers the child never allocated).  The
-    hot-path enabled flag is kept: it is configuration, not state.
+    (hits/bytes describing buffers the child never allocated).
     """
     _state.workspace = Workspace()
 
@@ -203,25 +174,3 @@ def get_workspace() -> Workspace:
 def clear_workspace() -> None:
     """Drop the calling thread's pooled buffers (tests, memory pressure)."""
     _state.workspace.clear()
-
-
-def hotpaths_enabled() -> bool:
-    """Whether the optimised hot-path kernels are active for this thread."""
-    return _state.enabled
-
-
-def set_hotpaths(enabled: bool) -> bool:
-    """Enable/disable the hot-path kernels for this thread; returns previous."""
-    previous = _state.enabled
-    _state.enabled = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def hotpaths(enabled: bool) -> Iterator[None]:
-    """Scoped toggle of the hot-path kernels (benchmark before/after gate)."""
-    previous = set_hotpaths(enabled)
-    try:
-        yield
-    finally:
-        set_hotpaths(previous)

@@ -12,7 +12,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.models import mnist_cnn
 from repro.nn import cross_entropy
-from repro.runtime import clear_workspace, get_workspace, hotpaths, precision
+from repro.runtime import clear_workspace, get_workspace, precision
 
 
 @pytest.fixture(autouse=True)
@@ -38,7 +38,7 @@ def train_step(model, x, y):
 
 def test_warm_step_serves_all_buffers_from_pool():
     x, y = batch()
-    with hotpaths(True), precision("float64"):
+    with precision("float64"):
         model = mnist_cnn(seed=0)
         for _ in range(2):
             train_step(model, x, y)
@@ -61,7 +61,7 @@ def test_backward_allocation_budget(monkeypatch):
     loop over graph nodes would blow well past this bound.
     """
     x, y = batch()
-    with hotpaths(True), precision("float64"):
+    with precision("float64"):
         model = mnist_cnn(seed=0)
         for _ in range(2):
             train_step(model, x, y)
@@ -90,7 +90,7 @@ def test_backward_allocation_budget(monkeypatch):
 
 def test_repeated_steps_do_not_grow_the_pool():
     x, y = batch()
-    with hotpaths(True), precision("float64"):
+    with precision("float64"):
         model = mnist_cnn(seed=0)
         for _ in range(2):
             train_step(model, x, y)

@@ -1,24 +1,18 @@
 """Tests for the hot-path scratch-buffer pool."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    Workspace,
-    clear_workspace,
-    get_workspace,
-    hotpaths,
-    hotpaths_enabled,
-    set_hotpaths,
-)
+from repro.runtime import Workspace, clear_workspace, get_workspace
 
 
 @pytest.fixture(autouse=True)
-def _hot_and_clean():
-    with hotpaths(True):
-        clear_workspace()
-        yield
-        clear_workspace()
+def _clean():
+    clear_workspace()
+    yield
+    clear_workspace()
 
 
 class TestPooling:
@@ -75,31 +69,10 @@ class TestPooling:
         assert ws.cached_bytes == 8 * 8
 
 
-class TestHotpathToggle:
-    def test_context_manager_restores_previous_state(self):
-        assert hotpaths_enabled()
-        with hotpaths(False):
-            assert not hotpaths_enabled()
-            with hotpaths(True):
-                assert hotpaths_enabled()
-            assert not hotpaths_enabled()
-        assert hotpaths_enabled()
-
-    def test_set_hotpaths_returns_previous(self):
-        previous = set_hotpaths(False)
-        try:
-            assert previous is True
-            assert not hotpaths_enabled()
-        finally:
-            set_hotpaths(previous)
-
-    def test_disabled_pool_degenerates_to_plain_allocation(self):
-        ws = Workspace()
-        with hotpaths(False):
-            buf = ws.acquire((4,), np.float64)
-            ws.release(buf)
-        assert ws.cached_buffers == 0
-        assert ws.hits == 0 and ws.misses == 0
-
-    def test_module_workspace_is_per_thread_singleton(self):
-        assert get_workspace() is get_workspace()
+def test_module_workspace_is_per_thread_singleton():
+    assert get_workspace() is get_workspace()
+    other = []
+    thread = threading.Thread(target=lambda: other.append(get_workspace()))
+    thread.start()
+    thread.join()
+    assert other[0] is not get_workspace()
