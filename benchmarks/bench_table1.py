@@ -10,6 +10,10 @@ Expected shape versus the paper (absolute numbers differ — see DESIGN.md):
   * FGSM-Adv collapses on the BIM columns; ATDA / Proposed / BIM-Adv resist;
   * Proposed > ATDA on BIM columns at lower per-epoch cost;
   * per-epoch time: proposed ~ fgsm_adv < atda < bim10_adv < bim30_adv.
+
+Above smoke scale the bench asserts the time ordering and, on BIM(10),
+proposed > atda, with fgsm_adv strictly lowest on digits, so re-recording
+the snapshot re-verifies the paper's shape instead of only rendering it.
 """
 
 import os
@@ -63,3 +67,10 @@ def test_table1(benchmark, dataset, digits_pool, fashion_pool):
     times = result.time_per_epoch
     assert times["bim30_adv"] > times["bim10_adv"] > times["proposed"]
     assert times["atda"] > times["fgsm_adv"]
+    bim10 = {method: row["bim10"] for method, row in result.accuracy.items()}
+    assert bim10["proposed"] > bim10["atda"]
+    if dataset == "digits":
+        # On the fashion substitute the ATDA row falls below FGSM-Adv,
+        # a deviation from the paper recorded in EXPERIMENTS.md.
+        others = [acc for method, acc in bim10.items() if method != "fgsm_adv"]
+        assert bim10["fgsm_adv"] < min(others)

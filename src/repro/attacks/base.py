@@ -7,11 +7,16 @@ exactly the mechanism the paper's equations describe::
 
     delta_i = sign( d L(C(x_{i-1}), y) / d x_{i-1} ) * eps_i
     x_i     = clip(x_{i-1} + delta_i)
+
+Only that input gradient is taken: :func:`frozen_parameters` switches the
+victim's parameters out of the graph while the attack runs its forward and
+backward, so no weight or bias gradient is computed or accumulated.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -20,7 +25,40 @@ from ..nn import Module, cross_entropy
 from ..runtime import ensure_float_array
 from ..utils.validation import check_image_batch
 
-__all__ = ["Attack", "project", "project_linf", "clip_to_box"]
+__all__ = [
+    "Attack",
+    "frozen_parameters",
+    "project",
+    "project_linf",
+    "clip_to_box",
+]
+
+
+@contextmanager
+def frozen_parameters(model) -> Iterator[None]:
+    """Switch off ``requires_grad`` on ``model``'s parameters for the block.
+
+    An attack needs dL/dx only.  Each op records which inputs need a
+    gradient when it runs forward, so a graph built inside this block
+    skips the weight and bias gradient GEMMs and reductions, and the
+    backward leaves every ``param.grad`` untouched.  Only parameters that
+    currently require grad are flipped, and they are restored even if the
+    block raises.  Duck-typed victims without ``.parameters()`` are left
+    alone.
+    """
+    parameters = getattr(model, "parameters", None)
+    frozen = (
+        [p for p in parameters() if p.requires_grad]
+        if callable(parameters)
+        else []
+    )
+    for param in frozen:
+        param.requires_grad = False
+    try:
+        yield
+    finally:
+        for param in frozen:
+            param.requires_grad = True
 
 
 def clip_to_box(x: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -107,9 +145,10 @@ class Attack:
         # No dtype cast: perturbation math runs in the input's own floating
         # dtype (the policy decides it upstream, when the batch is created).
         x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-        logits = self.model(x_tensor)
-        loss = self.loss_fn(logits, y)
-        loss.backward()
+        with frozen_parameters(self.model):
+            logits = self.model(x_tensor)
+            loss = self.loss_fn(logits, y)
+            loss.backward()
         grad = x_tensor.grad
         if grad is None:
             raise RuntimeError(

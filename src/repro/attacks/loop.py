@@ -27,6 +27,12 @@ this package are thin declarative compositions of four pluggable pieces:
   :class:`BoxProjection`, each fusing the norm-ball projection and the
   image-box clip into one in-place pass over the moved iterate.
 
+The backprop estimators take input gradients only: they run their forward
+and backward inside :func:`~repro.attacks.base.frozen_parameters`, so an
+attack step never computes a weight or bias gradient and never writes to
+``param.grad``.  A trainer that crafts its adversarial half this way gets
+an update that is the gradient of its training loss alone.
+
 The loop also owns two batching features the hand-rolled attacks never had:
 
 * **batched early stopping** (``early_stop=True``): per-example stop
@@ -57,7 +63,7 @@ from ..autograd import Tensor, no_grad
 from ..nn import cross_entropy
 from ..runtime import ensure_float_array
 from ..runtime.workspace import get_workspace
-from .base import project
+from .base import frozen_parameters, project
 
 __all__ = [
     "LoopState",
@@ -200,9 +206,10 @@ class BackpropGradient(GradientEstimator):
 
     def __call__(self, x, y, state: LoopState) -> np.ndarray:
         x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-        logits = self.model(x_tensor)
-        loss = self.loss_fn(logits, y)
-        loss.backward()
+        with frozen_parameters(self.model):
+            logits = self.model(x_tensor)
+            loss = self.loss_fn(logits, y)
+            loss.backward()
         grad = x_tensor.grad
         if grad is None:
             raise RuntimeError(
@@ -265,16 +272,17 @@ class ClassGradients:
         self.model = model
 
     def __call__(self, x: np.ndarray, state: LoopState):
-        x_tensor = Tensor(x, requires_grad=True)
-        logits = self.model(x_tensor)
-        num_classes = logits.shape[1]
-        logits_data = logits.data
         grads = []
-        for cls in range(num_classes):
-            x_t = Tensor(x, requires_grad=True)
-            out = self.model(x_t)
-            out[np.arange(len(x)), np.full(len(x), cls)].sum().backward()
-            grads.append(x_t.grad)
+        with frozen_parameters(self.model):
+            x_tensor = Tensor(x, requires_grad=True)
+            logits = self.model(x_tensor)
+            num_classes = logits.shape[1]
+            logits_data = logits.data
+            for cls in range(num_classes):
+                x_t = Tensor(x, requires_grad=True)
+                out = self.model(x_t)
+                out[np.arange(len(x)), np.full(len(x), cls)].sum().backward()
+                grads.append(x_t.grad)
         state.logits = logits_data
         return logits_data, np.stack(grads, axis=1)
 

@@ -49,6 +49,30 @@ def trained_mlp(digits_small):
     return model
 
 
+@pytest.fixture(scope="session")
+def undefended_bim_accuracy(digits_small):
+    """``measure(epochs)``: BIM(5) accuracy at eps 0.2 on the tiny test
+    split of an undefended ``mnist_mlp(seed=0)`` trained with the defense
+    tests' recipe (Adam lr 2e-3, batch 64, loader rng 0).  The defended
+    robustness tests assert a margin over this baseline."""
+    from repro.attacks import BIM
+
+    train, test = digits_small
+    x, y = test.arrays()
+    cache = {}
+
+    def measure(epochs: int) -> float:
+        if epochs not in cache:
+            model = mnist_mlp(seed=0)
+            trainer = Trainer(model, Adam(model.parameters(), lr=2e-3))
+            trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=epochs)
+            x_adv = BIM(model, 0.2, num_steps=5).generate(x, y)
+            cache[epochs] = float((model.predict(x_adv) == y).mean())
+        return cache[epochs]
+
+    return measure
+
+
 @pytest.fixture
 def fresh_mlp():
     """Untrained MLP with a fixed seed."""

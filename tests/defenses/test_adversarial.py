@@ -89,7 +89,8 @@ class TestIterAdv:
         iter_hist = iter_trainer.fit(loader, epochs=2)
         assert iter_hist.time_per_epoch > fgsm_hist.time_per_epoch * 1.5
 
-    def test_gains_bim_robustness(self, digits_small):
+    def test_gains_bim_robustness(self, digits_small,
+                                  undefended_bim_accuracy):
         from repro.attacks import BIM
 
         train, test = digits_small
@@ -99,8 +100,8 @@ class TestIterAdv:
         model = trainer.model
         x_adv = BIM(model, 0.2, num_steps=5).generate(x, y)
         adv_acc = (model.predict(x_adv) == y).mean()
-        # The undefended baseline would be ~0 on this budget.
-        assert adv_acc > 0.08
+        # Beats the undefended model (~0 on this budget) by a fixed margin.
+        assert adv_acc >= undefended_bim_accuracy(12) + 0.05
 
     def test_mixture_loss_between_clean_and_adv(self, digits_small):
         """alpha=1 must reduce to the vanilla loss."""

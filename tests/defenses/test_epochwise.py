@@ -182,7 +182,8 @@ class TestTraining:
         )
         assert t_proposed < t_iter / 2
 
-    def test_end_to_end_robustness_improves(self, digits_small):
+    def test_end_to_end_robustness_improves(self, digits_small,
+                                            undefended_bim_accuracy):
         from repro.attacks import BIM
 
         train, test = digits_small
@@ -192,4 +193,5 @@ class TestTraining:
         model = trainer.model
         adv = BIM(model, 0.2, num_steps=5).generate(x, y)
         adv_acc = (model.predict(adv) == y).mean()
-        assert adv_acc > 0.15  # vanilla would be ~0
+        # Beats the undefended model (~0) by a fixed margin.
+        assert adv_acc >= undefended_bim_accuracy(14) + 0.10
