@@ -32,6 +32,13 @@ from .loop import (
 
 __all__ = ["DeepFool"]
 
+# Added to the distance to the nearest linearised boundary (input-space l2),
+# as in the reference DeepFool code: an example sitting exactly on a
+# boundary (logit margin 0, argmax still on the true class) has distance 0,
+# and without this constant its step -- and the overshoot that scales it --
+# would be zero forever.
+_BOUNDARY_EPS = 1e-4
+
 
 class DeepFoolStep:
     """Linearisation step: move to the nearest linearised class boundary.
@@ -71,7 +78,7 @@ class DeepFoolStep:
                 ratio = abs(f) / w_norm
                 if ratio < best_ratio:
                     best_ratio = ratio
-                    best_delta = (abs(f) / (w_norm ** 2)) * w
+                    best_delta = ((ratio + _BOUNDARY_EPS) / w_norm) * w
             if best_delta is not None:
                 perturbations[i] = (1.0 + overshoot) * best_delta
         return perturbations

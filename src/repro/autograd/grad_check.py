@@ -52,18 +52,19 @@ def numerical_gradient(
     """
     policy = _check_policy()
     with precision(policy):
-        target = inputs[index]
-        grad = np.zeros_like(target.data, dtype=policy.compute_dtype)
-        flat = target.data.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
+        # Index element-wise rather than through a flat reshape, which
+        # would silently perturb a copy of a non-contiguous input (e.g. the
+        # NHWC-memory view a conv returns).
+        data = inputs[index].data
+        grad = np.zeros(data.shape, dtype=policy.compute_dtype)
+        for i in np.ndindex(data.shape):
+            original = data[i]
+            data[i] = original + eps
             plus = float(fn(*inputs).data.sum())
-            flat[i] = original - eps
+            data[i] = original - eps
             minus = float(fn(*inputs).data.sum())
-            flat[i] = original
-            grad_flat[i] = (plus - minus) / (2.0 * eps)
+            data[i] = original
+            grad[i] = (plus - minus) / (2.0 * eps)
     return grad
 
 
@@ -85,7 +86,7 @@ def check_gradients(
             for t in inputs
         ]
         # Cast up-front so perturbing single elements (numerical_gradient
-        # writes through .reshape(-1)) happens at checking precision.
+        # writes into the input in place) happens at checking precision.
         inputs = [
             t if t.dtype == policy.compute_dtype
             else Tensor(t.data.astype(policy.compute_dtype))

@@ -147,7 +147,11 @@ class Softmax(Function):
 
 
 class Conv2d(Function):
-    """2-D cross-correlation over NCHW inputs via im2col + GEMM."""
+    """2-D cross-correlation via im2col + GEMM.
+
+    Takes and returns NCHW-shaped arrays; the output (and the input
+    gradient) is a view of NHWC memory (see :mod:`._im2col`).
+    """
 
     @staticmethod
     def forward(ctx, x, weight, bias=None, stride=1, padding=0):
@@ -160,7 +164,8 @@ class Conv2d(Function):
         out_h = conv_output_size(h, kh, stride, padding)
         out_w = conv_output_size(w, kw, stride, padding)
         cols = im2col(x, kh, kw, stride, padding)
-        w_mat = weight.reshape(c_out, -1)
+        # Weight permuted once to the (kh, kw, C)-ordered column layout.
+        w_mat = weight.transpose(0, 2, 3, 1).reshape(c_out, -1)
         out = cols @ w_mat.T
         if bias is not None:
             if np.result_type(out.dtype, bias.dtype) == out.dtype:
@@ -172,7 +177,8 @@ class Conv2d(Function):
             # The column matrix is reused for grad_weight; the backward
             # pass releases it once the gradients are formed.
             ctx.save_for_backward(
-                cols, weight, x.shape, stride, padding, bias is not None
+                cols, w_mat, weight.shape, x.shape, stride, padding,
+                bias is not None,
             )
         else:
             get_workspace().release(cols)
@@ -180,27 +186,34 @@ class Conv2d(Function):
 
     @staticmethod
     def backward(ctx, grad_output):
-        cols, weight, x_shape, stride, padding, has_bias = ctx.saved
+        cols, w_mat, w_shape, x_shape, stride, padding, has_bias = ctx.saved
         if cols is None:
             raise RuntimeError(
                 "Conv2d backward called twice on the same graph node; the "
                 "column workspace buffer has already been recycled"
             )
-        c_out, c_in, kh, kw = weight.shape
-        workspace = get_workspace()
-        # grad_output: (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out)
-        n_out, _, out_h, out_w = grad_output.shape
-        grad_mat = workspace.acquire((n_out * out_h * out_w, c_out),
-                                     grad_output.dtype)
-        grad_mat.reshape(n_out, out_h, out_w, c_out)[...] = (
-            grad_output.transpose(0, 2, 3, 1)
-        )
-        grad_weight = (
-            (grad_mat.T @ cols).reshape(weight.shape) if ctx.needs(1) else None
-        )
-        grad_bias = grad_mat.sum(axis=0) if has_bias and ctx.needs(2) else None
-        result_dtype = np.result_type(grad_mat.dtype, weight.dtype)
+        c_out, c_in, kh, kw = w_shape
         n, _, h, w = x_shape
+        workspace = get_workspace()
+        # (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out): a free view
+        # of NHWC memory, a copy for any other layout.
+        _, _, out_h, out_w = grad_output.shape
+        grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        grad_weight = None
+        if ctx.needs(1):
+            # Back from the (kh, kw, C) column order to a C-contiguous
+            # (C_out, C_in, kh, kw) gradient.
+            grad_weight = np.ascontiguousarray(
+                (grad_mat.T @ cols)
+                .reshape(c_out, kh, kw, c_in)
+                .transpose(0, 3, 1, 2)
+            )
+        grad_bias = None
+        if has_bias and ctx.needs(2):
+            # A GEMV against ones: a column sum of the tall, narrow
+            # gradient matrix is several times slower as an axis-0 reduce.
+            grad_bias = np.ones(grad_mat.shape[0], grad_mat.dtype) @ grad_mat
+        result_dtype = np.result_type(grad_mat.dtype, w_mat.dtype)
         if not ctx.needs(0):
             # The input (e.g. a clean training batch, as opposed to an
             # attack's perturbation variable) takes no gradient: skip the
@@ -209,41 +222,40 @@ class Conv2d(Function):
         elif c_in * kh * kw >= 64:
             # Fused GEMM + scatter: one small GEMM per kernel position,
             # accumulated straight into an NHWC image buffer.  Skips
-            # materialising the full (rows, C_in*kh*kw) column gradient and
-            # keeps every read/write contiguous; wins once the per-position
-            # GEMMs are big enough to amortise the k^2 BLAS dispatches.
+            # materialising the full (rows, kh*kw*C_in) column gradient;
+            # wins once the per-position GEMMs are big enough to amortise
+            # the k^2 BLAS dispatches.
             padded = workspace.acquire(
                 (n, h + 2 * padding, w + 2 * padding, c_in), result_dtype
             )
             padded.fill(0.0)
             tmp = workspace.acquire((grad_mat.shape[0], c_in), result_dtype)
+            tmp_img = tmp.reshape(n, out_h, out_w, c_in)
             i_max = stride * out_h
             j_max = stride * out_w
             for i in range(kh):
                 for j in range(kw):
-                    np.matmul(grad_mat, weight[:, :, i, j], out=tmp)
+                    start = (i * kw + j) * c_in
+                    np.matmul(grad_mat, w_mat[:, start : start + c_in], out=tmp)
                     padded[:, i : i + i_max : stride, j : j + j_max : stride, :] += (
-                        tmp.reshape(n_out, out_h, out_w, c_in)
+                        tmp_img
                     )
-            if padding > 0:
-                core = padded[:, padding:-padding, padding:-padding, :]
-            else:
-                core = padded
-            grad_x = np.empty((n, c_in, h, w), dtype=result_dtype)
-            grad_x[...] = core.transpose(0, 3, 1, 2)
+            grad_x = np.empty((n, h, w, c_in), dtype=result_dtype)
+            grad_x[...] = padded[:, padding : padding + h, padding : padding + w, :]
+            grad_x = grad_x.transpose(0, 3, 1, 2)
             workspace.release(tmp)
             workspace.release(padded)
         else:
-            w_mat = weight.reshape(c_out, -1)
             grad_cols = workspace.acquire(
                 (grad_mat.shape[0], w_mat.shape[1]), result_dtype
             )
             np.matmul(grad_mat, w_mat, out=grad_cols)
             grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding)
             workspace.release(grad_cols)
-        workspace.release(grad_mat)
         workspace.release(cols)
-        ctx.save_for_backward(None, weight, x_shape, stride, padding, has_bias)
+        ctx.save_for_backward(
+            None, w_mat, w_shape, x_shape, stride, padding, has_bias
+        )
         return grad_x, grad_weight, grad_bias
 
 
@@ -259,109 +271,95 @@ def _pool_tiles(shape, kernel_size, stride, padding):
     )
 
 
+def _nhwc(x):
+    """``(N, H, W, C)`` C-contiguous array of an NCHW-shaped image: free for
+    the conv stack's own (NHWC-memory) outputs, one copy otherwise."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def _windows(a, kernel_size):
+    """``(N, out_h, k, out_w, k, C)`` view of the tiled windows of an NHWC
+    array (splitting the H and W axes never copies)."""
+    n, h, w, c = a.shape
+    k = kernel_size
+    return a.reshape(n, h // k, k, w // k, k, c)
+
+
+# Window slot of each cell of a 2x2 tile, broadcast against the
+# (N, out_h, 2, out_w, 2, C) window view.
+_SLOTS_2X2 = np.arange(4, dtype=np.int8).reshape(1, 1, 2, 1, 2, 1)
+
+
 class MaxPool2d(Function):
-    """Max pooling over square windows (argmax gradient routing)."""
+    """Max pooling over square windows (argmax gradient routing).
+
+    Takes and returns NCHW-shaped arrays; the output and the input gradient
+    are views of NHWC memory (see :mod:`._im2col`).
+    """
     @staticmethod
     def forward(ctx, x, kernel_size=2, stride=None, padding=0):
         stride = stride or kernel_size
         n, c, h, w = x.shape
         out_h = conv_output_size(h, kernel_size, stride, padding)
         out_w = conv_output_size(w, kernel_size, stride, padding)
-        k2 = kernel_size * kernel_size
-        workspace = get_workspace()
-        if _pool_tiles(x.shape, kernel_size, stride, padding):
-            # Windows tile the image: expose them as an NCHW reshape view and
-            # keep every later array in NCHW, avoiding the two NHWC transpose
-            # copies the column route pays.
-            view = x.reshape(n, c, out_h, kernel_size, out_w, kernel_size)
-            if kernel_size == 2:
-                # 2x2 windows: hand-rolled max/argmax over the four strided
-                # slot views beats np.argmax's generic reduction (and skips
-                # the take_along_axis gather).  Strict `>` comparisons keep
-                # np.argmax's first-max tie-breaking.
-                s0, s1 = view[:, :, :, 0, :, 0], view[:, :, :, 0, :, 1]
-                s2, s3 = view[:, :, :, 1, :, 0], view[:, :, :, 1, :, 1]
-                m01 = np.maximum(s0, s1)
-                m23 = np.maximum(s2, s3)
-                a01 = (s1 > s0).astype(np.int64)
-                a23 = (s3 > s2).astype(np.int64)
-                a23 += 2
-                high = m23 > m01
-                out = np.where(high, m23, m01)
-                argmax = np.where(high, a23, a01)
-            else:
-                windows = view.transpose(0, 1, 2, 4, 3, 5)
-                tiles = workspace.acquire((n, c, out_h, out_w, k2), x.dtype)
-                tiles.reshape(
-                    n, c, out_h, out_w, kernel_size, kernel_size
-                )[...] = windows
-                argmax = tiles.argmax(axis=4)
-                out = np.take_along_axis(tiles, argmax[..., None], axis=4)[..., 0]
-                workspace.release(tiles)
-            ctx.save_for_backward(
-                argmax, x.shape, kernel_size, stride, padding, None
-            )
-            return out
+        tiled_2x2 = kernel_size == 2 and _pool_tiles(x.shape, 2, stride, padding)
+        if tiled_2x2:
+            # 2x2 tiles: hand-rolled max/argmax over the four slot views of
+            # the window view beats np.argmax's generic reduction.  Strict
+            # `>` comparisons keep np.argmax's first-max tie-breaking; the
+            # argmax is the slot index as int8, selected branch-free
+            # (np.where is several times slower on random masks).
+            view = _windows(_nhwc(x), 2)
+            s0, s1 = view[:, :, 0, :, 0], view[:, :, 0, :, 1]
+            s2, s3 = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
+            m01 = np.maximum(s0, s1)
+            m23 = np.maximum(s2, s3)
+            a01 = (s1 > s0).view(np.int8)
+            a23 = (s3 > s2).view(np.int8)
+            high = m23 > m01
+            argmax = a01 + high * (a23 + 2 - a01)
+            out = np.maximum(m01, m23, out=m01)
+            ctx.save_for_backward(argmax, x.shape, 2, stride, padding, True)
+            return out.transpose(0, 3, 1, 2)
         # Padding cells are -inf, not 0: with zero padding the argmax would
         # prefer a padding cell over genuinely negative activations, both
         # corrupting the forward value and routing gradient into the void.
         flat = im2col(
             x, kernel_size, kernel_size, stride, padding, pad_value=-np.inf
         )
-        cols = flat.reshape(-1, c, k2)
-        # rows of `cols` are (N*out_h*out_w, C, K*K)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[..., None], axis=2)[..., 0]
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+        # rows of `cols` are (N*out_h*out_w, K*K, C)
+        cols = flat.reshape(-1, kernel_size * kernel_size, c)
+        argmax = cols.argmax(axis=1)
+        out = cols.max(axis=1)
         ctx.save_for_backward(
-            argmax, x.shape, kernel_size, stride, padding, cols.shape
+            argmax, x.shape, kernel_size, stride, padding, False
         )
-        workspace.release(flat)
-        return out
+        get_workspace().release(flat)
+        return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
     @staticmethod
     def backward(ctx, grad_output):
-        argmax, x_shape, kernel_size, stride, padding, cols_shape = ctx.saved
+        argmax, x_shape, kernel_size, stride, padding, tiled_2x2 = ctx.saved
         n, c, h, w = x_shape
-        workspace = get_workspace()
-        if cols_shape is None:
-            # NCHW tiling route (see forward): scatter into per-window
-            # slots, then one strided assignment back to image layout.
-            out_h, out_w = h // kernel_size, w // kernel_size
-            k2 = kernel_size * kernel_size
-            if kernel_size == 2:
-                # 2x2 windows: route each gradient straight into its slot's
-                # strided view with a masked copy — same index routing as
-                # the put_along_axis scatter below, minus the slot buffer
-                # and the transpose copy back to image layout.
-                grad_x = np.zeros((n, c, h, w), dtype=grad_output.dtype)
-                view = grad_x.reshape(n, c, out_h, 2, out_w, 2)
-                mask = np.empty(argmax.shape, dtype=bool)
-                for slot, dst in enumerate((
-                    view[:, :, :, 0, :, 0], view[:, :, :, 0, :, 1],
-                    view[:, :, :, 1, :, 0], view[:, :, :, 1, :, 1],
-                )):
-                    np.equal(argmax, slot, out=mask)
-                    np.copyto(dst, grad_output, where=mask)
-                return (grad_x,)
-            slots = workspace.acquire((n, c, out_h, out_w, k2),
-                                      grad_output.dtype)
-            slots.fill(0.0)
-            np.put_along_axis(
-                slots, argmax[..., None], grad_output[..., None], axis=4
+        grad = grad_output.transpose(0, 2, 3, 1)
+        if tiled_2x2:
+            # 2x2 tiles: each cell takes its window's gradient where it holds
+            # the argmax slot, zero elsewhere — one broadcast pass over the
+            # window view of the NHWC input gradient.
+            grad_x = np.empty((n, h, w, c), dtype=grad_output.dtype)
+            np.multiply(
+                grad[:, :, None, :, None, :],
+                argmax[:, :, None, :, None, :] == _SLOTS_2X2,
+                out=_windows(grad_x, 2),
             )
-            grad_x = np.empty((n, c, h, w), dtype=grad_output.dtype)
-            grad_x.reshape(
-                n, c, out_h, kernel_size, out_w, kernel_size
-            )[...] = slots.reshape(
-                n, c, out_h, out_w, kernel_size, kernel_size
-            ).transpose(0, 1, 2, 4, 3, 5)
-            workspace.release(slots)
-            return (grad_x,)
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-        grad_cols = workspace.acquire(cols_shape, grad_output.dtype)
+            return (grad_x.transpose(0, 3, 1, 2),)
+        workspace = get_workspace()
+        k2 = kernel_size * kernel_size
+        grad_cols = workspace.acquire((argmax.shape[0], k2, c), grad.dtype)
         grad_cols.fill(0.0)
-        np.put_along_axis(grad_cols, argmax[..., None], grad_flat[..., None], axis=2)
+        np.put_along_axis(
+            grad_cols, argmax[:, None], grad.reshape(-1, 1, c), axis=1
+        )
         grad_x = col2im(
             grad_cols.reshape(grad_cols.shape[0], -1),
             x_shape, kernel_size, kernel_size, stride, padding,
@@ -371,7 +369,11 @@ class MaxPool2d(Function):
 
 
 class AvgPool2d(Function):
-    """Average pooling over square windows."""
+    """Average pooling over square windows.
+
+    Takes and returns NCHW-shaped arrays; the output and the input gradient
+    are views of NHWC memory (see :mod:`._im2col`).
+    """
     @staticmethod
     def forward(ctx, x, kernel_size=2, stride=None, padding=0):
         stride = stride or kernel_size
@@ -381,37 +383,32 @@ class AvgPool2d(Function):
         tiled = _pool_tiles(x.shape, kernel_size, stride, padding)
         ctx.save_for_backward(x.shape, kernel_size, stride, padding, tiled)
         if tiled:
-            # Windows tile the image: reduce straight over the NCHW reshape
-            # view, no column gather and no transpose copies.
-            return x.reshape(
-                n, c, out_h, kernel_size, out_w, kernel_size
-            ).mean(axis=(3, 5))
-        flat = im2col(x, kernel_size, kernel_size, stride, padding)
-        cols = flat.reshape(-1, c, kernel_size * kernel_size)
-        out = cols.mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        get_workspace().release(flat)
-        return out
+            # Windows tile the image: reduce straight over the window view,
+            # no column gather.
+            out = _windows(_nhwc(x), kernel_size).mean(axis=(2, 4))
+        else:
+            flat = im2col(x, kernel_size, kernel_size, stride, padding)
+            out = flat.reshape(-1, kernel_size * kernel_size, c).mean(axis=1)
+            get_workspace().release(flat)
+        return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
     @staticmethod
     def backward(ctx, grad_output):
         x_shape, kernel_size, stride, padding, tiled = ctx.saved
         n, c, h, w = x_shape
         k2 = kernel_size * kernel_size
-        workspace = get_workspace()
+        grad = grad_output.transpose(0, 2, 3, 1) / k2
         if tiled:
             # Every input cell in a window gets grad/k^2: one broadcast
-            # assignment into the window view of the image gradient.
-            out_h, out_w = h // kernel_size, w // kernel_size
-            grad_x = np.empty((n, c, h, w), dtype=grad_output.dtype)
-            grad_x.reshape(n, c, out_h, kernel_size, out_w, kernel_size)[...] = (
-                (grad_output / k2)[:, :, :, None, :, None]
+            # assignment into the window view of the NHWC image gradient.
+            grad_x = np.empty((n, h, w, c), dtype=grad.dtype)
+            _windows(grad_x, kernel_size)[...] = (
+                grad[:, :, None, :, None, :]
             )
-            return (grad_x,)
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-        grad_cols = workspace.acquire(
-            (grad_flat.shape[0], c, k2), grad_flat.dtype
-        )
-        grad_cols[...] = (grad_flat / k2)[..., None]
+            return (grad_x.transpose(0, 3, 1, 2),)
+        workspace = get_workspace()
+        grad_cols = workspace.acquire((grad.size // c, k2, c), grad.dtype)
+        grad_cols[...] = grad.reshape(-1, 1, c)
         grad_x = col2im(
             grad_cols.reshape(grad_cols.shape[0], -1),
             x_shape, kernel_size, kernel_size, stride, padding,

@@ -23,7 +23,13 @@ from ..utils.serialization import save_json
 from .config import ExperimentConfig
 from .runner import ClassifierPool
 
-__all__ = ["TABLE1_METHODS", "ATTACK_COLUMNS", "Table1Result", "run_table1"]
+__all__ = [
+    "TABLE1_METHODS",
+    "ATTACK_COLUMNS",
+    "Table1Result",
+    "run_table1",
+    "cost_shape_violations",
+]
 
 TABLE1_METHODS = ("fgsm_adv", "atda", "proposed", "bim10_adv", "bim30_adv")
 ATTACK_COLUMNS = ("original", "fgsm", "bim10", "bim30")
@@ -88,6 +94,36 @@ class Table1Result:
         ``1 - time(method) / time(baseline)``.
         """
         return 1.0 - self.time_per_epoch[method] / self.time_per_epoch[baseline]
+
+
+def cost_shape_violations(time_per_epoch: Dict[str, float]) -> list:
+    """Table I's per-epoch cost claims that ``time_per_epoch`` breaks.
+
+    The paper's claim is about cost: backward passes per batch are 2 for
+    ``fgsm_adv``/``proposed``, about 2 plus loss overhead for ``atda``, and
+    ``k + 1`` for BIM(k)-Adv.  Checked in s/epoch:
+
+    * ``bim30_adv > bim10_adv > proposed`` and ``atda > fgsm_adv``;
+    * ``proposed < atda``;
+    * ``2.0 <= bim30_adv / bim10_adv <= 3.0`` (backward passes give
+      31 / 11 ~= 2.8; the shared forward/eval overhead pulls it lower).
+
+    Returns one message per violated claim; empty when all hold.
+    """
+    t = time_per_epoch
+    ratio = t["bim30_adv"] / t["bim10_adv"]
+    claims = [
+        (t["bim30_adv"] > t["bim10_adv"] > t["proposed"],
+         "bim30_adv > bim10_adv > proposed"),
+        (t["atda"] > t["fgsm_adv"], "atda > fgsm_adv"),
+        (t["proposed"] < t["atda"], "proposed < atda"),
+        (2.0 <= ratio <= 3.0,
+         f"2.0 <= bim30_adv / bim10_adv <= 3.0 (got {ratio:.2f})"),
+    ]
+    return [
+        f"{message} fails for s/epoch {t}" for held, message in claims
+        if not held
+    ]
 
 
 def run_table1(

@@ -4,6 +4,19 @@ import numpy as np
 import pytest
 
 from repro.attacks import DeepFool
+from repro.autograd import Tensor, no_grad
+from repro.models.classifier import FeatureClassifier
+from repro.nn import Dense, Flatten, Sequential
+from repro.runtime import precision
+
+
+def tied_linear_model():
+    """3-class linear model ``logits = [x0, x1, -(x0 + x1 + x2 + x3)]``
+    over 2x2 images: at a uniform image classes 0 and 1 tie exactly."""
+    head = Dense(4, 3)
+    head.weight.data[...] = [[1, 0, -1], [0, 1, -1], [0, 0, -1], [0, 0, -1]]
+    head.bias.data[...] = 0
+    return FeatureClassifier(Sequential(Flatten()), head, num_classes=3)
 
 
 class TestDeepFool:
@@ -34,6 +47,24 @@ class TestDeepFool:
         x_adv = DeepFool(trained_mlp, max_steps=5).generate(x, wrong_labels)
         # Every example is already "fooled" w.r.t. these labels.
         assert np.allclose(x_adv, x)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_steps_off_an_exact_tie(self, dtype):
+        """An example exactly on a boundary (margin 0, argmax on the true
+        class) has a zero linearised distance; it must still be pushed
+        across rather than stalling for every step."""
+        with precision(dtype):
+            model = tied_linear_model()
+            x = np.full((1, 1, 2, 2), 0.5, dtype=dtype)
+            y = np.array([0])
+            with no_grad():
+                logits = model(Tensor(x)).data
+            assert logits[0, 0] == logits[0, 1]
+            assert model.predict(x)[0] == 0
+            x_adv = DeepFool(model, max_steps=3).generate(x, y)
+            assert x_adv.dtype == np.dtype(dtype)
+            assert model.predict(x_adv)[0] != 0
+            assert np.linalg.norm(x_adv - x) < 1e-2
 
     def test_validation(self, trained_mlp):
         with pytest.raises(ValueError):

@@ -41,7 +41,8 @@ def loop_im2col(x, kernel, stride, padding, pad_value=0.0):
             cols[:, :, i, j] = x[
                 :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
             ]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    # Columns are (kh, kw, C)-ordered: channel innermost.
+    return cols.transpose(0, 4, 5, 2, 3, 1).reshape(n * out_h * out_w, -1)
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,7 @@
 """Tests for NN operations: matmul, activations, softmax, conv, pooling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,62 @@ from repro.autograd import (
     tanh,
 )
 from repro.autograd._im2col import col2im, conv_output_size, im2col
+from repro.runtime import precision
 
 
 def randn(*shape, seed=0, scale=1.0):
     return Tensor(np.random.default_rng(seed).normal(size=shape) * scale)
+
+
+# Memory layouts an NCHW-shaped image can arrive in: C-contiguous NCHW, or
+# the NCHW view of NHWC memory that conv and pool outputs are.
+LAYOUTS = ["nchw", "nhwc"]
+DTYPES = ["float64", "float32"]
+
+
+def in_layout(arr, layout):
+    """``arr`` (NCHW-shaped) copied into the given memory layout."""
+    if layout == "nchw":
+        return np.ascontiguousarray(arr)
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def randn_in(layout, *shape, seed=0, scale=1.0):
+    return Tensor(in_layout(randn(*shape, seed=seed, scale=scale).data, layout))
+
+
+def assert_nhwc_memory(arr):
+    """Conv/pool results are NCHW-shaped views of C-contiguous NHWC memory."""
+    assert arr.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def tol(dtype):
+    return {"rtol": 1e-5, "atol": 1e-5} if dtype == "float32" else {}
+
+
+def naive_pool(x, kernel, stride, padding, reduce):
+    """Loop reference for max/avg pooling (max pads with -inf, avg with 0)."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    fill = -np.inf if reduce is np.max else 0.0
+    xp = np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+        constant_values=fill,
+    )
+    out = np.empty((n, c, out_h, out_w))
+    for y in range(out_h):
+        for z in range(out_w):
+            window = xp[
+                :, :, y * stride : y * stride + kernel,
+                z * stride : z * stride + kernel,
+            ]
+            out[:, :, y, z] = reduce(window, axis=(2, 3))
+    return out
+
+
+# (kernel, stride, padding): 2x2 tiles, 3x3 tiles, overlapping, padded.
+POOL_CASES = [(2, 2, 0), (3, 3, 0), (2, 1, 0), (3, 2, 1)]
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -123,11 +177,16 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=(4,))
-        ours = conv2d(
-            Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding
-        ).data
         theirs = naive_conv2d(x, w, b, stride, padding)
-        assert np.allclose(ours, theirs)
+        for layout, dtype in itertools.product(LAYOUTS, DTYPES):
+            ours = conv2d(
+                Tensor(in_layout(x.astype(dtype), layout)),
+                Tensor(w.astype(dtype)), Tensor(b.astype(dtype)),
+                stride=stride, padding=padding,
+            ).data
+            assert ours.dtype == np.dtype(dtype)
+            assert_nhwc_memory(ours)
+            assert np.allclose(ours, theirs, **tol(dtype)), (layout, dtype)
 
     def test_no_bias(self):
         rng = np.random.default_rng(0)
@@ -141,17 +200,52 @@ class TestConv2d:
             conv2d(randn(1, 2, 4, 4), randn(3, 5, 3, 3))
 
     def test_gradients(self):
-        check_gradients(
-            lambda x, w, b: conv2d(x, w, b, stride=1, padding=1),
-            [randn(2, 2, 5, 5), randn(3, 2, 3, 3, seed=1, scale=0.5),
-             randn(3, seed=2)],
-        )
+        for layout in LAYOUTS:
+            check_gradients(
+                lambda x, w, b: conv2d(x, w, b, stride=1, padding=1),
+                [randn_in(layout, 2, 2, 5, 5),
+                 randn(3, 2, 3, 3, seed=1, scale=0.5), randn(3, seed=2)],
+            )
 
     def test_gradients_strided(self):
-        check_gradients(
-            lambda x, w: conv2d(x, w, stride=2),
-            [randn(1, 2, 6, 6), randn(2, 2, 2, 2, seed=1, scale=0.5)],
-        )
+        for layout in LAYOUTS:
+            check_gradients(
+                lambda x, w: conv2d(x, w, stride=2),
+                [randn_in(layout, 1, 2, 6, 6),
+                 randn(2, 2, 2, 2, seed=1, scale=0.5)],
+            )
+
+    def test_gradients_wide_input(self):
+        """C_in * k^2 >= 64 takes the fused per-kernel-position input
+        gradient rather than the column GEMM + col2im one."""
+        for layout in LAYOUTS:
+            check_gradients(
+                lambda x, w: conv2d(x, w, stride=1, padding=1),
+                [randn_in(layout, 1, 8, 4, 4),
+                 randn(2, 8, 3, 3, seed=1, scale=0.5)],
+            )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("c_in", [2, 8])
+    def test_float32_backward_matches_float64(self, layout, c_in):
+        """Both dtypes and both input-gradient routes; the input gradient
+        comes back in NHWC memory, the weight gradient C-contiguous."""
+        grads = {}
+        for dtype in DTYPES:
+            with precision(dtype):
+                x = randn_in(layout, 2, c_in, 6, 6)
+                x = Tensor(x.data.astype(dtype), requires_grad=True)
+                w = Tensor(randn(3, c_in, 3, 3, seed=1).data.astype(dtype),
+                           requires_grad=True)
+                b = Tensor(np.arange(3.0, dtype=dtype), requires_grad=True)
+                out = conv2d(x, w, b, padding=1)
+                out.backward(np.cos(np.arange(out.size)).reshape(out.shape))
+                assert_nhwc_memory(x.grad)
+                assert w.grad.flags.c_contiguous
+                grads[dtype] = (x.grad, w.grad, b.grad)
+        for g32, g64 in zip(grads["float32"], grads["float64"]):
+            assert g32.dtype == np.float32
+            assert np.allclose(g32, g64, rtol=1e-4, atol=1e-4)
 
 
 class TestPooling:
@@ -165,11 +259,60 @@ class TestPooling:
         out = avg_pool2d(x, 2)
         assert np.allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kernel,stride,padding", POOL_CASES)
+    @pytest.mark.parametrize("pool,reduce", [
+        (max_pool2d, np.max), (avg_pool2d, np.mean),
+    ])
+    def test_matches_naive_reference(
+        self, pool, reduce, kernel, stride, padding, layout, dtype
+    ):
+        x = np.random.default_rng(0).normal(size=(2, 3, 6, 6))
+        ours = pool(
+            Tensor(in_layout(x.astype(dtype), layout)),
+            kernel_size=kernel, stride=stride, padding=padding,
+        ).data
+        assert ours.dtype == np.dtype(dtype)
+        assert_nhwc_memory(ours)
+        theirs = naive_pool(x, kernel, stride, padding, reduce)
+        assert np.allclose(ours, theirs, **tol(dtype))
+
     def test_max_pool_gradients(self):
-        check_gradients(lambda a: max_pool2d(a, 2), [randn(2, 3, 4, 4)])
+        for (kernel, stride, padding), layout in itertools.product(
+            POOL_CASES, LAYOUTS
+        ):
+            check_gradients(
+                lambda a: max_pool2d(a, kernel, stride=stride, padding=padding),
+                [randn_in(layout, 2, 3, 6, 6)],
+            )
 
     def test_avg_pool_gradients(self):
-        check_gradients(lambda a: avg_pool2d(a, 2), [randn(2, 3, 4, 4)])
+        for (kernel, stride, padding), layout in itertools.product(
+            POOL_CASES, LAYOUTS
+        ):
+            check_gradients(
+                lambda a: avg_pool2d(a, kernel, stride=stride, padding=padding),
+                [randn_in(layout, 2, 3, 6, 6)],
+            )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kernel,stride,padding", POOL_CASES)
+    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
+    def test_float32_backward_matches_float64(
+        self, pool, kernel, stride, padding, layout
+    ):
+        grads = {}
+        for dtype in DTYPES:
+            with precision(dtype):
+                x = randn_in(layout, 2, 3, 6, 6)
+                x = Tensor(x.data.astype(dtype), requires_grad=True)
+                out = pool(x, kernel, stride=stride, padding=padding)
+                out.backward(np.cos(np.arange(out.size)).reshape(out.shape))
+                assert_nhwc_memory(x.grad)
+                grads[dtype] = x.grad
+        assert grads["float32"].dtype == np.float32
+        assert np.allclose(grads["float32"], grads["float64"], atol=1e-6)
 
     def test_max_pool_stride(self):
         out = max_pool2d(randn(1, 1, 6, 6), kernel_size=3, stride=3)

@@ -50,6 +50,19 @@ class TestFactories:
         model = small_cnn(image_size=14, seed=0)
         assert model(Tensor(batch(size=14))).shape == (4, 10)
 
+    def test_cnn_parameter_grads_are_c_contiguous(self):
+        """The conv kernels work in NHWC memory; the gradients they hand
+        to the optimiser must still be plain C-contiguous arrays."""
+        from repro.nn import losses
+
+        model = mnist_cnn(seed=0)
+        x = Tensor(batch(), requires_grad=True)
+        logits = model(x)
+        losses.softmax_cross_entropy(logits, np.arange(4)).backward()
+        for param in model.parameters():
+            assert param.grad.shape == param.data.shape
+            assert param.grad.flags.c_contiguous
+
     def test_mlp_dropout_variant(self):
         model = mnist_mlp(seed=0, dropout=0.5)
         model.train()
