@@ -17,12 +17,13 @@ Artefacts are printed and optionally saved as JSON via ``--save``.
 ``--telemetry PATH`` records the run (spans, counters, events) as a JSONL
 run record; ``repro report PATH`` renders it into the Table-I-style
 per-epoch/per-phase timing summary, and ``--trace`` renders the merged
-cross-process trace trees instead (workers and serving threads spool
-span records beside the run record).  ``repro profile <subcommand>`` (or
-``--profile PATH`` on any artefact subcommand) samples all threads and
-writes a collapsed-stack flamegraph profile; ``repro bench diff``
-compares ``*.bench.json`` benchmark records against the committed
-baselines in ``benchmarks/results/`` and fails on regressions.
+cross-process trace trees instead (grid workers and serving threads
+spool span records beside the run record).  ``repro profile
+<subcommand>`` (or ``--profile PATH`` on any artefact subcommand) samples
+all threads and writes a collapsed-stack flamegraph profile;
+``repro bench diff`` compares ``*.bench.json`` benchmark records against
+the committed baselines in ``benchmarks/results/`` and fails on
+regressions.
 """
 
 from __future__ import annotations
@@ -183,22 +184,7 @@ def _cmd_audit(args) -> int:
         args.defense, model, epsilon=config.resolved_epsilon,
         lr=config.lr, **_defense_kwargs(config, args.defense),
     )
-    if config.resolved_workers > 1:
-        from .parallel import DataParallelTrainer
-
-        trainer = DataParallelTrainer(
-            trainer, num_workers=config.resolved_workers
-        )
-    try:
-        trainer.fit(
-            loader,
-            epochs=config.epochs,
-            verbose=args.verbose,
-        )
-    finally:
-        close = getattr(trainer, "close", None)
-        if close is not None:
-            close()
+    trainer.fit(loader, epochs=config.epochs, verbose=args.verbose)
     x, y = test.arrays()
     if args.attack:
         suite = RobustnessEvaluator.from_specs(
@@ -381,15 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
             "collapsed-stack (flamegraph-format) profile to PATH",
         )
         p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="worker processes: defended classifiers train "
-            "data-parallel and sweeps run one grid cell per worker "
-            "(default: the REPRO_WORKERS environment variable, else 1)",
-        )
-        p.add_argument(
             "--stream",
             action="store_true",
             help="train from a streaming shard source that regenerates "
@@ -413,12 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
             "with --stream)",
         )
 
+    def add_workers(p):
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            metavar="N",
+            help="grid worker processes: the sweep runs one cell per "
+            "worker, each training its classifiers serially (default: "
+            "the REPRO_WORKERS environment variable, else 1)",
+        )
+
     p_table = sub.add_parser("table1", help="regenerate Table I")
     add_common(p_table)
     p_table.set_defaults(func=_cmd_table1)
 
     p_fig1 = sub.add_parser("figure1", help="regenerate Figure 1")
     add_common(p_fig1)
+    add_workers(p_fig1)
     p_fig1.set_defaults(func=_cmd_figure1)
 
     p_fig2 = sub.add_parser("figure2", help="regenerate Figure 2")
@@ -427,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="design-choice ablations")
     add_common(p_abl)
+    add_workers(p_abl)
     p_abl.add_argument(
         "--knob", choices=("step_size", "reset_interval"),
         default="step_size",

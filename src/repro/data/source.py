@@ -58,8 +58,8 @@ class DataSource:
     attributes below.  Shards are contiguous index ranges: shard ``s``
     covers global indices ``[s * shard_size, min((s+1) * shard_size, N))``,
     so ``index // shard_size`` recovers the owning shard — the property
-    the data-parallel trainer's shard ownership rule and the loader's
-    gather both rely on.
+    the loader's gather and the epochwise delta store's shard-aligned
+    blocks both rely on.
 
     Attributes
     ----------

@@ -99,18 +99,12 @@ def _sweep_variants(
 
     With ``config`` resolving to more than one worker the sweep runs one
     grid cell per worker process (:func:`repro.parallel.parallel_map`);
-    each forked cell trains its variant *serially* — its pool config is
-    forced to one worker — so grid parallelism and batch-level data
-    parallelism never nest.  Serial sweeps keep batch-level parallelism
-    available inside each cell instead.
+    each forked cell trains its variant exactly as the serial loop would.
     """
     workers = config.resolved_workers
     if workers > 1 and len(overrides_list) > 1:
 
         def cell(overrides: dict) -> Dict[str, float]:
-            # Runs only inside a forked grid worker; the mutation is
-            # child-local and prevents a nested batch-level worker pool.
-            pool.config = pool.config.with_overrides(workers=1)
             return _evaluate_variant(pool, config, **overrides)
 
         return parallel_map(cell, overrides_list, num_workers=workers)

@@ -50,11 +50,13 @@ class ExperimentConfig:
         experiment's spans/counters/events as a run record renderable with
         ``repro report``.  ``None`` leaves telemetry in its ambient state.
     workers:
-        Worker processes for the experiment (``--workers`` CLI flag).
-        ``None`` defers to the ``REPRO_WORKERS`` environment variable
-        (default 1 = serial).  Above 1, defended classifiers train
-        data-parallel (:class:`~repro.parallel.DataParallelTrainer`) and
-        the figure1/ablation sweeps run one grid cell per worker.
+        Grid worker processes for the figure1 and ablation sweeps
+        (``--workers`` CLI flag on ``figure1`` and ``ablate``).  ``None``
+        defers to the ``REPRO_WORKERS`` environment variable (default
+        1 = serial).  Above 1, the sweep runs one grid cell per worker
+        (:func:`~repro.parallel.parallel_map`); every classifier still
+        trains serially inside its cell, and the other artefacts ignore
+        the field.
     stream:
         Train from a streaming :class:`~repro.data.SyntheticSource` that
         regenerates shards on the fly instead of materialising the train

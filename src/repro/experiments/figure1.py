@@ -97,16 +97,12 @@ def run_figure1(
     workers = config.resolved_workers
     if workers > 1:
         # One grid worker per classifier: each forked cell trains and
-        # sweeps its classifier serially (no nested batch-level pool) and
-        # ships only the curve back.  The trained models stay in the
-        # children, so the parent pool's cache is not populated — the
-        # figure artefact is the curves, not the weights.
-        def cell(name: str) -> List[float]:
-            pool.config = pool.config.with_overrides(workers=1)
-            return sweep_one(name)
-
+        # sweeps its classifier and ships only the curve back.  The
+        # trained models stay in the children, so the parent pool's cache
+        # is not populated — the figure artefact is the curves, not the
+        # weights.
         curves = parallel_map(
-            cell, list(FIGURE1_CLASSIFIERS), num_workers=workers
+            sweep_one, list(FIGURE1_CLASSIFIERS), num_workers=workers
         )
         for name, ys in zip(FIGURE1_CLASSIFIERS, curves):
             result.curves[name] = ys

@@ -17,7 +17,6 @@ from ..data.synthetic import dataset_num_classes
 from ..defenses import TrainingHistory, build_trainer
 from ..models import FeatureClassifier, build_model
 from ..nn import Module
-from ..parallel import DataParallelTrainer
 from ..utils.serialization import (
     load_json,
     load_state_dict,
@@ -145,21 +144,11 @@ class ClassifierPool:
                 lr=self.config.lr,
                 **kwargs,
             )
-            workers = self.config.resolved_workers
-            if workers > 1:
-                # Shard each batch across a forked worker pool; gradients
-                # are all-reduced into this process's parameters, so the
-                # trained model below is identical in ownership terms.
-                trainer = DataParallelTrainer(trainer, num_workers=workers)
-            try:
-                history = trainer.fit(
-                    self._make_loader(),
-                    epochs=self.config.epochs,
-                    verbose=self.verbose,
-                )
-            finally:
-                if isinstance(trainer, DataParallelTrainer):
-                    trainer.close()
+            history = trainer.fit(
+                self._make_loader(),
+                epochs=self.config.epochs,
+                verbose=self.verbose,
+            )
         trained = TrainedDefense(name=name, model=model, history=history)
         if not trainer_overrides:
             self._cache[name] = trained

@@ -1,29 +1,22 @@
-"""repro.parallel — multi-process data-parallel execution engine.
+"""repro.parallel — grid fan-out over forked worker processes.
 
-Three layers:
+Two layers:
 
-* :mod:`repro.parallel.shm` — shared-memory numpy buffers created by the
-  parent and inherited by forked workers.
 * :mod:`repro.parallel.pool` — :class:`WorkerPool`, persistent forked
-  workers with pipe control, crash detection and restart.
-* :mod:`repro.parallel.trainer` — :class:`DataParallelTrainer`, sharding
-  every batch across workers by dataset index, all-reducing gradients in
-  deterministic worker order; plus :func:`parallel_map`
-  (:mod:`repro.parallel.grid`) for one-config-per-worker experiment sweeps.
+  workers with pipe control, crash detection and cross-process trace
+  propagation.
+* :mod:`repro.parallel.grid` — :func:`parallel_map`, one configuration per
+  worker for the experiment sweeps (figure1 defense curves, ablation
+  grids).  Each cell trains serially inside its worker, so a parallel
+  sweep reproduces the serial sweep's numbers exactly.
 
-See ``docs/parallel.md`` for the architecture, the shared-memory layout
-and the determinism guarantees (bit-for-bit at one worker, summation-order
-bounded at N).
+See ``docs/parallel.md`` for the architecture and the trace envelope.
 """
 
 from .grid import parallel_map
 from .pool import WorkerCrash, WorkerError, WorkerPool, resolve_workers
-from .shm import SharedArray
-from .trainer import DataParallelTrainer
 
 __all__ = [
-    "DataParallelTrainer",
-    "SharedArray",
     "WorkerCrash",
     "WorkerError",
     "WorkerPool",

@@ -1,22 +1,19 @@
-"""Persistent forked worker pool with pipe control and crash recovery.
+"""Persistent forked worker pool with pipe control and crash detection.
 
 :class:`WorkerPool` forks ``num_workers`` long-lived child processes, each
 running a message loop around a ``handler(worker_id, message)`` callable.
 Because the start method is **fork**, the handler and everything it closes
-over (trainer replicas, shared-memory views, datasets) is inherited by the
-child directly — nothing is pickled except the small control messages that
-travel over each worker's pipe.
+over (a classifier pool, datasets) is inherited by the child directly —
+nothing is pickled except the small messages that travel over each
+worker's pipe.  The fork hooks registered by :mod:`repro.runtime.workspace`
+and :mod:`repro.telemetry` give every child a fresh buffer pool and clean
+telemetry locks.
 
-Crash recovery
---------------
+Crash detection
+---------------
 A worker that dies (killed, segfaulted, ``os._exit``) is detected by the
 parent while waiting for its reply: :meth:`recv` raises
-:class:`WorkerCrash`.  The caller decides what to do; :meth:`restart`
-re-forks a replacement from the parent's *current* state (the fork hooks
-registered by :mod:`repro.runtime.workspace` and :mod:`repro.telemetry`
-give it a fresh buffer pool and clean telemetry locks) and the caller
-re-dispatches the lost work.  Restarts are counted on the pool and, when
-telemetry is enabled, in the ``parallel.worker_restarts`` counter.
+:class:`WorkerCrash` and the caller decides what to do.
 """
 
 from __future__ import annotations
@@ -86,8 +83,9 @@ def _worker_main(handler: Callable[[int, Any], Any], worker_id: int, conn):
         if message == _STOP:
             break
         # Traced envelope from WorkerPool.send: adopt the parent's trace
-        # context (so spans this handler emits join the parent's trace)
-        # and make sure this process has a spool file to emit them into.
+        # context when there is one (so spans this handler emits join the
+        # parent's trace) and make sure this process has a spool file to
+        # emit them into.
         ctx = None
         if (
             isinstance(message, tuple)
@@ -95,7 +93,8 @@ def _worker_main(handler: Callable[[int, Any], Any], worker_id: int, conn):
             and message[0] == _TRACED
         ):
             _, raw_ctx, spool, message = message
-            ctx = tel.TraceContext(*raw_ctx)
+            if raw_ctx is not None:
+                ctx = tel.TraceContext(*raw_ctx)
             if spool is not None:
                 teltrace.ensure_spool(spool)
         try:
@@ -144,7 +143,6 @@ class WorkerPool:
         self.num_workers = int(num_workers)
         self.handler = handler
         self.name = name
-        self.restarts = 0
         self._workers: List[Optional[_Worker]] = [None] * self.num_workers
         self._started = False
 
@@ -171,26 +169,8 @@ class WorkerPool:
             self._started = True
         return self
 
-    @property
-    def started(self) -> bool:
-        """Whether the workers have been forked."""
-        return self._started
-
-    def restart(self, worker_id: int) -> None:
-        """Replace a dead (or wedged) worker with a fresh fork of the parent."""
-        worker = self._workers[worker_id]
-        if worker is not None:
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(timeout=5)
-            worker.conn.close()
-        self._workers[worker_id] = self._spawn(worker_id)
-        self.restarts += 1
-        tel.counter("parallel.worker_restarts")
-        tel.event("parallel.worker_restart", worker=worker_id)
-
     def kill(self, worker_id: int) -> None:
-        """SIGKILL a worker (crash-recovery tests)."""
+        """SIGKILL a worker (crash-detection tests)."""
         worker = self._workers[worker_id]
         if worker is not None and worker.process.is_alive():
             os.kill(worker.process.pid, signal.SIGKILL)
@@ -225,19 +205,22 @@ class WorkerPool:
     def send(self, worker_id: int, message: Any) -> None:
         """Dispatch one message to a worker (non-blocking).
 
-        When telemetry is enabled and the caller sits inside a traced
-        span, the message travels in a ``(_TRACED, ctx, spool, payload)``
-        envelope: the worker adopts the trace context for the duration of
-        the handler call, so every span it emits carries the parent's
-        ``trace_id`` and parents onto the dispatching span.  The capture's
-        spool directory rides along so the worker knows where to emit.
+        When telemetry is enabled the message travels in a
+        ``(_TRACED, ctx, spool, payload)`` envelope.  The capture's spool
+        directory always rides along, so the worker knows where to emit
+        its spans.  ``ctx`` is the caller's trace context, or ``None``
+        outside any traced span; when set, the worker adopts it for the
+        duration of the handler call, so every span it emits carries the
+        parent's ``trace_id`` and parents onto the dispatching span.
         """
         if tel.enabled():
             ctx = tel.current_context()
-            if ctx is not None:
-                message = (
-                    _TRACED, tuple(ctx), teltrace.spool_dir(), message
-                )
+            message = (
+                _TRACED,
+                None if ctx is None else tuple(ctx),
+                teltrace.spool_dir(),
+                message,
+            )
         worker = self._workers[worker_id]
         try:
             worker.conn.send(message)
@@ -279,21 +262,3 @@ class WorkerPool:
         if status == "error":
             raise WorkerError(worker_id, payload)
         return payload
-
-    def call(self, worker_id: int, message: Any,
-             timeout: Optional[float] = None) -> Any:
-        """``send`` + ``recv`` in one round trip."""
-        self.send(worker_id, message)
-        return self.recv(worker_id, timeout=timeout)
-
-    def broadcast(self, message: Any) -> None:
-        """Send the same message to every worker."""
-        for worker_id in range(self.num_workers):
-            self.send(worker_id, message)
-
-    def gather(self, timeout: Optional[float] = None) -> List[Any]:
-        """Collect one reply per worker, in worker order."""
-        return [
-            self.recv(worker_id, timeout=timeout)
-            for worker_id in range(self.num_workers)
-        ]

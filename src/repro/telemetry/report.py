@@ -20,7 +20,7 @@ from .sinks import load_records
 
 __all__ = ["EpochRow", "RunReport", "build_report", "render_report"]
 
-PHASES = ("data", "attack", "forward", "backward", "optimizer", "parallel")
+PHASES = ("data", "attack", "forward", "backward", "optimizer")
 
 
 def _format_table(
@@ -76,12 +76,6 @@ class EpochRow:
             "forward": total_of("forward") - total_of("forward/attack"),
             "backward": total_of("backward"),
             "optimizer": total_of("optimizer"),
-            # Data-parallel epochs spend their whole batch step (dispatch,
-            # worker wait, gradient reduce) inside one ``parallel`` span;
-            # the per-worker phase folds nested under it use dotted leaf
-            # names (``parallel/w0.attack``) precisely so they are not
-            # double-counted into the serial attack column above.
-            "parallel": total_of("parallel"),
         }
         direct = sum(
             float(entry["total"])
@@ -163,17 +157,14 @@ class RunReport:
     def render_health(self) -> str:
         """The neglected operational counters, surfaced in one block.
 
-        Worker restarts, serving shed/timeout counts and the shard-cache
-        hit rate each indicate capacity or stability pressure that the
-        timing tables hide; returns ``""`` when the run recorded none of
-        them (serial, un-served, non-streaming runs stay clean).
+        Serving shed/timeout counts and the shard-cache hit rate each
+        indicate capacity pressure that the timing tables hide; returns
+        ``""`` when the run recorded none of them (un-served,
+        non-streaming runs stay clean).
         """
         counters = self.metrics.get("counters", {})
         gauges = self.metrics.get("gauges", {})
         lines = []
-        restarts = counters.get("parallel.worker_restarts", 0.0)
-        if restarts:
-            lines.append(f"  worker restarts: {restarts:g}")
         shed = sum(
             value for name, value in counters.items()
             if name.startswith("serving.") and name.endswith(".shed")

@@ -137,7 +137,8 @@ class TestTelemetryForkSafety:
             pool = WorkerPool(1, handler)
             pool.start()
             try:
-                child_counters = pool.call(0, None, timeout=30)
+                pool.send(0, None)
+                child_counters = pool.recv(0, timeout=30)
             finally:
                 pool.shutdown()
             assert "forksafe.child_only" in child_counters

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import smoke_scale
 from repro.experiments.ablations import run_step_size_ablation
+from repro.experiments.figure1 import FIGURE1_CLASSIFIERS, run_figure1
 from repro.parallel import WorkerCrash, WorkerError, parallel_map
 
 
@@ -94,3 +95,22 @@ class TestGridSweeps:
                     atol=1e-9,
                     err_msg=f"grid sweep diverged on {attack}",
                 )
+
+    def test_figure1_grid_parallel_matches_serial(self):
+        config = smoke_scale(
+            "digits",
+            train_per_class=8,
+            test_per_class=4,
+            epochs=2,
+            warmup_epochs=1,
+        )
+        counts = (1, 2, 3)
+        serial = run_figure1(config, iteration_counts=counts)
+        parallel = run_figure1(
+            config.with_overrides(workers=2), iteration_counts=counts
+        )
+        assert list(parallel.curves) == list(FIGURE1_CLASSIFIERS)
+        for name in FIGURE1_CLASSIFIERS:
+            assert np.array_equal(
+                serial.curves[name], parallel.curves[name]
+            ), f"grid curve diverged for {name}"

@@ -1,4 +1,4 @@
-"""Tests for the persistent forked worker pool and its crash recovery."""
+"""Tests for the persistent forked worker pool and its crash detection."""
 
 import os
 
@@ -41,14 +41,20 @@ class TestResolveWorkers:
             resolve_workers(None)
 
 
+def call(pool, worker_id, message, timeout=None):
+    pool.send(worker_id, message)
+    return pool.recv(worker_id, timeout=timeout)
+
+
 class TestRoundTrips:
     def test_call_reaches_the_right_worker(self, pool):
-        assert pool.call(0, "hello") == (0, "hello")
-        assert pool.call(1, "world") == (1, "world")
+        assert call(pool, 0, "hello") == (0, "hello")
+        assert call(pool, 1, "world") == (1, "world")
 
-    def test_broadcast_gather_in_worker_order(self, pool):
-        pool.broadcast("ping")
-        assert pool.gather() == [(0, "ping"), (1, "ping")]
+    def test_send_recv_in_worker_order(self, pool):
+        for worker_id in range(2):
+            pool.send(worker_id, "ping")
+        assert [pool.recv(w) for w in range(2)] == [(0, "ping"), (1, "ping")]
 
     def test_workers_are_separate_processes(self, pool):
         def pid(worker_id, message):
@@ -57,8 +63,7 @@ class TestRoundTrips:
         p = WorkerPool(2, pid)
         p.start()
         try:
-            p.broadcast(None)
-            pids = p.gather()
+            pids = [call(p, worker_id, None) for worker_id in range(2)]
             assert len(set(pids)) == 2
             assert os.getpid() not in pids
         finally:
@@ -73,7 +78,7 @@ class TestRoundTrips:
         p = WorkerPool(1, handler)
         p.start()
         try:
-            assert p.call(0, 1) == 12346
+            assert call(p, 0, 1) == 12346
         finally:
             p.shutdown()
 
@@ -87,7 +92,7 @@ class TestErrors:
         p.start()
         try:
             with pytest.raises(WorkerError) as excinfo:
-                p.call(0, None)
+                call(p, 0, None)
             assert "kaboom in the child" in excinfo.value.remote_traceback
             assert excinfo.value.worker_id == 0
             # The worker survives its handler raising.
@@ -107,29 +112,22 @@ class TestCrashRecovery:
         pool.kill(0)
         pool.send(1, "still-fine")  # sibling unaffected
         with pytest.raises(WorkerCrash):
-            pool.call(0, "into-the-void", timeout=10)
+            call(pool, 0, "into-the-void", timeout=10)
         assert pool.recv(1) == (1, "still-fine")
-
-    def test_restart_replaces_dead_worker(self, pool):
-        pool.kill(0)
-        assert pool.restarts == 0
-        pool.restart(0)
-        assert pool.restarts == 1
-        assert pool.call(0, "revived") == (0, "revived")
 
     def test_shutdown_is_idempotent(self):
         p = WorkerPool(2, echo)
         p.start()
         p.shutdown()
         p.shutdown()
-        assert not p.started
+        assert p._workers == [None, None]
 
     def test_shutdown_survives_dead_workers(self):
         p = WorkerPool(2, echo)
         p.start()
         p.kill(0)
         p.shutdown()
-        assert not p.started
+        assert p._workers == [None, None]
 
     def test_num_workers_validation(self):
         with pytest.raises(ValueError):

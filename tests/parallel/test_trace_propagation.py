@@ -1,19 +1,24 @@
 """Cross-process trace propagation through the worker pool.
 
-The satellite contract: trace ids minted in the parent survive the fork
-boundary — a traced ``WorkerPool.send`` wraps the payload in a context
-envelope, the worker adopts it for the handler call, and root spans the
-handler opens are emitted to the worker's own spool file carrying the
-parent's ``trace_id`` and parenting on the dispatching span.
+The contract: with telemetry enabled, ``WorkerPool.send`` wraps the
+payload in an envelope carrying the capture's spool directory, so every
+span a worker emits lands in its own spool file.  When the send happens
+inside a traced span the envelope also carries the trace context: the
+worker adopts it for the handler call, and root spans the handler opens
+carry the parent's ``trace_id`` and parent on the dispatching span.
 """
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from repro import telemetry as tel
+from repro.experiments import smoke_scale
+from repro.experiments.figure1 import run_figure1
 from repro.parallel import WorkerPool
+from repro.telemetry.sinks import load_records
 from repro.telemetry.trace import TraceCollector, shutdown_spool
 
 
@@ -45,6 +50,19 @@ def _spool_records(spool):
     return records
 
 
+def _epoch_spans(run):
+    """``(trainer, epoch)`` of every epoch span in a run and its spools."""
+    records = load_records(run)
+    spool = f"{run}.spool"
+    if os.path.isdir(spool):
+        records += _spool_records(spool)
+    return Counter(
+        (r["attrs"]["trainer"], r["attrs"]["epoch"])
+        for r in records
+        if r.get("type") == "span" and r.get("name") == "epoch"
+    )
+
+
 class TestTracePropagation:
     def test_worker_spans_join_the_parent_trace(self, tmp_path,
                                                 clean_telemetry):
@@ -54,8 +72,9 @@ class TestTracePropagation:
         try:
             with tel.capture(jsonl=run):
                 with tel.span("epoch", emit=True) as epoch:
-                    pool.broadcast("step")
-                    replies = pool.gather(timeout=30)
+                    for worker_id in range(2):
+                        pool.send(worker_id, "step")
+                    replies = [pool.recv(w, timeout=30) for w in range(2)]
                     parent_ids = {epoch.span_id}
                     trace_id = epoch._resolve_trace_id()
         finally:
@@ -90,7 +109,8 @@ class TestTracePropagation:
         pool = WorkerPool(1, echo)
         pool.start()
         try:
-            assert pool.call(0, ("plain", "tuple")) == ("plain", "tuple")
+            pool.send(0, ("plain", "tuple"))
+            assert pool.recv(0) == ("plain", "tuple")
         finally:
             pool.shutdown()
         assert not os.listdir(str(tmp_path))
@@ -110,24 +130,38 @@ class TestTracePropagation:
         try:
             with tel.capture(jsonl=run):
                 with tel.span("root", emit=True):
-                    assert pool.call(0, payload, timeout=30) == payload
+                    pool.send(0, payload)
+                    assert pool.recv(0, timeout=30) == payload
         finally:
             pool.shutdown()
 
-    def test_restart_counter_reaches_health_block(self, clean_telemetry):
-        def echo(worker_id, message):
-            return message
-
-        pool = WorkerPool(1, echo)
+    def test_untraced_send_still_reaches_the_spool(self, tmp_path,
+                                                   clean_telemetry):
+        """Telemetry on but no open span: the worker still spools."""
+        run = str(tmp_path / "run.jsonl")
+        pool = WorkerPool(1, traced_work)
         pool.start()
         try:
-            previous = tel.set_enabled(True)
-            try:
-                pool.restart(0)
-            finally:
-                tel.set_enabled(previous)
-            assert pool.call(0, "alive", timeout=30) == "alive"
+            with tel.capture(jsonl=run):
+                pool.send(0, "step")
+                pool.recv(0, timeout=30)
         finally:
             pool.shutdown()
-        snapshot = tel.get_metrics().snapshot()
-        assert snapshot["counters"]["parallel.worker_restarts"] == 1.0
+        records = _spool_records(f"{run}.spool")
+        assert [r["name"] for r in records] == ["work"]
+
+    def test_figure1_grid_workers_record_every_epoch(self, tmp_path,
+                                                     clean_telemetry):
+        """A 2-worker figure1 grid records the serial run's epoch spans."""
+        config = smoke_scale("digits")
+        runs = {}
+        for workers in (1, 2):
+            run = str(tmp_path / f"fig1_w{workers}.jsonl")
+            with tel.capture(jsonl=run):
+                run_figure1(
+                    config.with_overrides(workers=workers),
+                    iteration_counts=(1, 2),
+                )
+            runs[workers] = _epoch_spans(run)
+        assert sum(runs[1].values()) == 16
+        assert runs[2] == runs[1]

@@ -122,14 +122,6 @@ class TestHealthBlock:
         assert report.render_health() == ""
         assert "health:" not in report.render()
 
-    def test_worker_restarts_surface(self):
-        report = build_report([self.metrics_record(
-            counters={"parallel.worker_restarts": 2.0}
-        )])
-        text = report.render_health()
-        assert "health:" in text
-        assert "worker restarts: 2" in text
-
     def test_serving_pressure_line_aggregates_batchers(self):
         report = build_report([self.metrics_record(counters={
             "serving.requests": 10.0,
@@ -150,7 +142,6 @@ class TestHealthBlock:
     def test_health_block_in_full_render(self):
         report = build_report([
             epoch_record(),
-            self.metrics_record(
-                counters={"parallel.worker_restarts": 1.0}),
+            self.metrics_record(counters={"serving.requests": 1.0}),
         ])
         assert "health:" in report.render()

@@ -28,18 +28,30 @@ class TestParser:
             build_parser().parse_args(["ablate", "--knob", "nope"])
 
     def test_workers_flag(self):
-        args = build_parser().parse_args(["table1", "--workers", "4"])
-        assert args.workers == 4
-        args = build_parser().parse_args(["table1"])
-        assert args.workers is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--workers", "two"])
+        for command in ("figure1", "ablate"):
+            args = build_parser().parse_args([command, "--workers", "4"])
+            assert args.workers == 4
+            args = build_parser().parse_args([command])
+            assert args.workers is None
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--workers", "two"])
+
+    @pytest.mark.parametrize(
+        "command", ["table1", "figure2", "audit", "serve"]
+    )
+    def test_workers_flag_only_on_grid_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_workers_threads_into_config(self):
         from repro.cli import _config_for
 
-        args = build_parser().parse_args(["table1", "--workers", "2"])
+        args = build_parser().parse_args(["figure1", "--workers", "2"])
         assert _config_for(args).workers == 2
+        args = build_parser().parse_args(["figure1"])
+        assert _config_for(args).workers is None
         args = build_parser().parse_args(["table1"])
         assert _config_for(args).workers is None
 
