@@ -10,7 +10,7 @@ Usage::
     python -m repro table1  --telemetry run.jsonl
     python -m repro report  run.jsonl
     python -m repro report  run.jsonl --trace
-    python -m repro profile table1 --scale smoke
+    python -m repro table1  --profile prof.collapsed
     python -m repro bench diff
 
 Artefacts are printed and optionally saved as JSON via ``--save``.
@@ -18,9 +18,9 @@ Artefacts are printed and optionally saved as JSON via ``--save``.
 run record; ``repro report PATH`` renders it into the Table-I-style
 per-epoch/per-phase timing summary, and ``--trace`` renders the merged
 cross-process trace trees instead (grid workers and serving threads
-spool span records beside the run record).  ``repro profile
-<subcommand>`` (or ``--profile PATH`` on any artefact subcommand) samples
-all threads and writes a collapsed-stack flamegraph profile;
+spool span records beside the run record).  ``--profile PATH`` on any
+artefact subcommand samples all threads and writes a collapsed-stack
+flamegraph profile;
 ``repro bench diff`` compares ``*.bench.json`` benchmark records against
 the committed baselines in ``benchmarks/results/`` and fails on
 regressions.
@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 import contextlib
 
 from .experiments import (
+    ClassifierPool,
     paper_scale,
     run_figure1,
     run_figure2,
@@ -53,14 +54,7 @@ def _config_for(args) -> "ExperimentConfig":
     dtype = getattr(args, "dtype", "") or None
     telemetry = getattr(args, "telemetry", "") or None
     workers = getattr(args, "workers", None) or None
-    common = dict(
-        dtype=dtype,
-        telemetry=telemetry,
-        workers=workers,
-        stream=bool(getattr(args, "stream", False)),
-        shard_size=getattr(args, "shard_size", None) or None,
-        data_budget_mb=getattr(args, "data_budget_mb", None) or None,
-    )
+    common = dict(dtype=dtype, telemetry=telemetry, workers=workers)
     if args.scale == "paper":
         return paper_scale(args.dataset, **common)
     if args.scale == "medium":
@@ -72,65 +66,6 @@ def _config_for(args) -> "ExperimentConfig":
             **common,
         )
     return smoke_scale(args.dataset, **common)
-
-
-def _training_setup(config):
-    """Build ``(train_loader, test_set)`` honouring the streaming flags.
-
-    The single place the CLI subcommands that train directly (audit,
-    serve) decide between the in-memory path and the streaming pipeline;
-    the experiment runners make the same decision inside
-    :class:`~repro.experiments.ClassifierPool`.
-    """
-    from .data import (
-        DataLoader,
-        SyntheticSource,
-        load_dataset,
-        load_test_split,
-    )
-    from .data.synthetic import dataset_num_classes
-
-    if config.stream:
-        source = SyntheticSource(
-            config.dataset,
-            num_examples=(
-                dataset_num_classes(config.dataset) * config.train_per_class
-            ),
-            shard_size=config.resolved_shard_size,
-            seed=config.seed,
-        )
-        loader = DataLoader(
-            source,
-            batch_size=config.batch_size,
-            rng=config.seed,
-            budget_bytes=config.budget_bytes,
-        )
-        test = load_test_split(
-            config.dataset,
-            test_per_class=config.test_per_class,
-            seed=config.seed,
-        )
-        return loader, test
-    train, test = load_dataset(
-        config.dataset,
-        train_per_class=config.train_per_class,
-        test_per_class=config.test_per_class,
-        seed=config.seed,
-    )
-    loader = DataLoader(
-        train, batch_size=config.batch_size, rng=config.seed
-    )
-    return loader, test
-
-
-def _defense_kwargs(config, defense: str) -> dict:
-    if defense == "vanilla":
-        return {}
-    kwargs = {"warmup_epochs": config.warmup_epochs}
-    if defense == "proposed" and config.budget_bytes is not None:
-        kwargs["delta_budget_bytes"] = config.budget_bytes
-        kwargs["delta_block_size"] = config.resolved_shard_size
-    return kwargs
 
 
 def _cmd_table1(args) -> int:
@@ -173,19 +108,12 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_audit(args) -> int:
     """Train one defense and run the gradient-masking diagnostics on it."""
-    from .defenses import build_trainer
     from .eval import RobustnessEvaluator, gradient_masking_report
-    from .models import build_model
 
     config = _config_for(args)
-    loader, test = _training_setup(config)
-    model = build_model(config.model, seed=config.seed)
-    trainer = build_trainer(
-        args.defense, model, epsilon=config.resolved_epsilon,
-        lr=config.lr, **_defense_kwargs(config, args.defense),
-    )
-    trainer.fit(loader, epochs=config.epochs, verbose=args.verbose)
-    x, y = test.arrays()
+    pool = ClassifierPool(config, verbose=args.verbose)
+    model = pool.get(args.defense).model
+    x, y = pool.test_x, pool.test_y
     if args.attack:
         suite = RobustnessEvaluator.from_specs(
             args.attack, epsilon=config.resolved_epsilon
@@ -202,32 +130,24 @@ def _cmd_audit(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Boot the micro-batched inference + audit service (``repro serve``)."""
-    from .defenses import build_trainer
     from .models import build_model
     from .serving import InferenceService, ServingServer
 
     config = _config_for(args)
-    model = build_model(config.model, seed=config.seed)
-    if args.checkpoint:
-        from .utils import load_state_dict
+    if args.checkpoint or args.untrained:
+        model = build_model(config.model, seed=config.seed)
+        if args.checkpoint:
+            from .utils import load_state_dict
 
-        model.load_state_dict(load_state_dict(args.checkpoint))
-        print(f"loaded checkpoint {args.checkpoint}")
-    elif not args.untrained:
-        loader, _test = _training_setup(config)
-        trainer = build_trainer(
-            args.defense, model, epsilon=config.resolved_epsilon,
-            lr=config.lr, **_defense_kwargs(config, args.defense),
-        )
+            model.load_state_dict(load_state_dict(args.checkpoint))
+            print(f"loaded checkpoint {args.checkpoint}")
+    else:
         print(
             f"training {config.model} with defense {args.defense!r} "
             f"({config.epochs} epochs at {args.scale} scale)..."
         )
-        trainer.fit(
-            loader,
-            epochs=config.epochs,
-            verbose=args.verbose,
-        )
+        pool = ClassifierPool(config, verbose=args.verbose)
+        model = pool.get(args.defense).model
     service = InferenceService(
         model,
         max_batch_size=args.max_batch_size,
@@ -290,30 +210,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    """Run another subcommand under the sampling profiler."""
-    from .telemetry.profiler import DEFAULT_HZ, SamplingProfiler
-
-    rest = [a for a in args.args if a != "--"]
-    if not rest:
-        print("usage: repro profile [--out PATH] [--hz N] <subcommand> ...")
-        return 2
-    profiler = SamplingProfiler(hz=args.hz or DEFAULT_HZ)
-    profiler.start()
-    try:
-        code = main(rest)
-    finally:
-        profiler.stop()
-    path = profiler.save(args.out)
-    print(
-        f"sampling profile: {profiler.samples} sample(s) at "
-        f"{profiler.hz} Hz -> {path}"
-    )
-    for frame, count in profiler.top(5):
-        print(f"  {count:>6}  {frame}")
-    return code
-
-
 def _cmd_bench_diff(args) -> int:
     """Compare fresh benchmark records against the committed baselines."""
     from .telemetry.bench import diff_records, load_bench_dir, render_diff
@@ -365,29 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="sample every thread during the run and write a "
             "collapsed-stack (flamegraph-format) profile to PATH",
-        )
-        p.add_argument(
-            "--stream",
-            action="store_true",
-            help="train from a streaming shard source that regenerates "
-            "data on the fly instead of materialising the train split",
-        )
-        p.add_argument(
-            "--shard-size",
-            type=int,
-            default=None,
-            metavar="N",
-            help="examples per streamed shard (default: 512; "
-            "only meaningful with --stream)",
-        )
-        p.add_argument(
-            "--data-budget-mb",
-            type=float,
-            default=None,
-            metavar="MB",
-            help="memory budget for resident shards and the epochwise "
-            "delta store, in MiB (default: unbounded; only meaningful "
-            "with --stream)",
         )
 
     def add_workers(p):
@@ -512,24 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the timing report; optionally select one trace by id prefix",
     )
     p_report.set_defaults(func=_cmd_report)
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="run a subcommand under the all-thread sampling profiler",
-    )
-    p_profile.add_argument(
-        "--out", default="profile.collapsed", metavar="PATH",
-        help="collapsed-stack output path (flamegraph.pl / speedscope)",
-    )
-    p_profile.add_argument(
-        "--hz", type=int, default=0, metavar="N",
-        help="samples per second (default: 29)",
-    )
-    p_profile.add_argument(
-        "args", nargs=argparse.REMAINDER,
-        help="the repro subcommand (and its flags) to profile",
-    )
-    p_profile.set_defaults(func=_cmd_profile)
 
     p_bench = sub.add_parser(
         "bench", help="perf-regression tracking over *.bench.json records"

@@ -79,10 +79,6 @@ class DataLoader:
         Drop the trailing partial batch.
     rng:
         Seed or generator controlling the shuffle order.
-    shard_size:
-        Shard granularity when wrapping a plain dataset; ``None`` keeps
-        the whole dataset in one shard (the legacy behaviour).  Must be
-        omitted (or agree) when ``data`` is already a source.
     budget_bytes:
         Byte budget for resident shard payloads; ``None`` is unbounded.
         When the budget binds, least-recently-used shards are evicted and
@@ -108,13 +104,12 @@ class DataLoader:
         shuffle: bool = True,
         drop_last: bool = False,
         rng: RngLike = None,
-        shard_size: Optional[int] = None,
         budget_bytes: Optional[int] = None,
         prefetch: Optional[bool] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.source: DataSource = as_source(data, shard_size=shard_size)
+        self.source: DataSource = as_source(data)
         if len(self.source) == 0:
             raise ValueError("cannot iterate an empty dataset")
         # Kept for callers that introspect the underlying dataset; purely

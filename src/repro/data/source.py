@@ -260,20 +260,15 @@ class SyntheticSource(DataSource):
         return x, y
 
 
-def as_source(data, shard_size: Optional[int] = None) -> DataSource:
+def as_source(data) -> DataSource:
     """Coerce a dataset-or-source to a :class:`DataSource`.
 
-    An existing source passes through unchanged; ``shard_size`` must then
-    be absent or agree with the source's own granularity.
+    An existing source passes through unchanged; a plain dataset becomes
+    a single-shard :class:`TensorSource`.
     """
     if isinstance(data, DataSource):
-        if shard_size is not None and int(shard_size) != data.shard_size:
-            raise ValueError(
-                f"shard_size={shard_size} conflicts with the source's "
-                f"shard_size={data.shard_size}"
-            )
         return data
-    return TensorSource(data, shard_size=shard_size)
+    return TensorSource(data)
 
 
 class ShardCache:

@@ -57,21 +57,6 @@ class ExperimentConfig:
         (:func:`~repro.parallel.parallel_map`); every classifier still
         trains serially inside its cell, and the other artefacts ignore
         the field.
-    stream:
-        Train from a streaming :class:`~repro.data.SyntheticSource` that
-        regenerates shards on the fly instead of materialising the train
-        split (``--stream`` CLI flag).  The virtual training-set size is
-        still ``num_classes * train_per_class``; evaluation keeps a small
-        materialised test split either way.
-    shard_size:
-        Examples per streamed shard; ``None`` uses
-        :data:`~repro.data.DEFAULT_SHARD_SIZE`.  Ignored unless
-        ``stream`` is set.
-    data_budget_mb:
-        Memory budget (MiB) shared by the streaming pipeline's two
-        resident stores — the loader's shard cache and the epochwise
-        defense's delta store each get this budget.  ``None`` is
-        unbounded.  Ignored unless ``stream`` is set.
     """
 
     dataset: str = "digits"
@@ -88,22 +73,11 @@ class ExperimentConfig:
     dtype: Optional[str] = None
     telemetry: Optional[str] = None
     workers: Optional[int] = None
-    stream: bool = False
-    shard_size: Optional[int] = None
-    data_budget_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ValueError(
-                f"shard_size must be positive, got {self.shard_size}"
-            )
-        if self.data_budget_mb is not None and self.data_budget_mb <= 0:
-            raise ValueError(
-                f"data_budget_mb must be positive, got {self.data_budget_mb}"
             )
         if self.dtype is not None and self.dtype not in (
             "float32",
@@ -152,22 +126,6 @@ class ExperimentConfig:
         if self.telemetry is None:
             return contextlib.nullcontext()
         return capture(jsonl=self.telemetry)
-
-    @property
-    def resolved_shard_size(self) -> int:
-        """The explicit shard size, or the pipeline default."""
-        if self.shard_size is not None:
-            return self.shard_size
-        from ..data.source import DEFAULT_SHARD_SIZE
-
-        return DEFAULT_SHARD_SIZE
-
-    @property
-    def budget_bytes(self) -> Optional[int]:
-        """``data_budget_mb`` in bytes, or ``None`` when unbounded."""
-        if self.data_budget_mb is None:
-            return None
-        return int(self.data_budget_mb * (1 << 20))
 
     @property
     def resolved_workers(self) -> int:

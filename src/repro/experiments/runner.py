@@ -3,7 +3,9 @@
 The three paper artefacts (Figures 1-2, Table I) share the expensive part —
 training a set of defended classifiers on a dataset.  :class:`ClassifierPool`
 trains each defense lazily and caches the result so one pool can serve all
-artefacts of a dataset.
+artefacts of a dataset.  It is the one place that trains a classifier from
+an :class:`ExperimentConfig`: ``repro audit`` and ``repro serve`` take their
+model from it too.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict
 
-from ..data import DataLoader, SyntheticSource, load_dataset, load_test_split
-from ..data.synthetic import dataset_num_classes
+from ..data import DataLoader, load_dataset
 from ..defenses import TrainingHistory, build_trainer
 from ..models import FeatureClassifier, build_model
 from ..nn import Module
@@ -58,33 +59,12 @@ class ClassifierPool:
         self.verbose = verbose
         self._cache: Dict[str, TrainedDefense] = {}
         with config.precision_scope():
-            if config.stream:
-                # Streaming mode never materialises the training split:
-                # the source regenerates shards on demand, keyed by
-                # (seed, shard_id).  Only the small test split is built.
-                self.train_set = None
-                self.train_source = SyntheticSource(
-                    config.dataset,
-                    num_examples=(
-                        dataset_num_classes(config.dataset)
-                        * config.train_per_class
-                    ),
-                    shard_size=config.resolved_shard_size,
-                    seed=config.seed,
-                )
-                self.test_set = load_test_split(
-                    config.dataset,
-                    test_per_class=config.test_per_class,
-                    seed=config.seed,
-                )
-            else:
-                self.train_set, self.test_set = load_dataset(
-                    config.dataset,
-                    train_per_class=config.train_per_class,
-                    test_per_class=config.test_per_class,
-                    seed=config.seed,
-                )
-                self.train_source = None
+            self.train_set, self.test_set = load_dataset(
+                config.dataset,
+                train_per_class=config.train_per_class,
+                test_per_class=config.test_per_class,
+                seed=config.seed,
+            )
             self.test_x, self.test_y = self.test_set.arrays()
 
     # ------------------------------------------------------------------
@@ -94,18 +74,10 @@ class ClassifierPool:
         return self.config.resolved_epsilon
 
     def _make_loader(self) -> DataLoader:
-        config = self.config
-        if config.stream:
-            return DataLoader(
-                self.train_source,
-                batch_size=config.batch_size,
-                rng=config.seed,
-                budget_bytes=config.budget_bytes,
-            )
         return DataLoader(
             self.train_set,
-            batch_size=config.batch_size,
-            rng=config.seed,
+            batch_size=self.config.batch_size,
+            rng=self.config.seed,
         )
 
     def _make_model(self) -> FeatureClassifier:
@@ -114,15 +86,7 @@ class ClassifierPool:
     def _trainer_kwargs(self, name: str) -> dict:
         if name == "vanilla":
             return {}
-        kwargs = {"warmup_epochs": self.config.warmup_epochs}
-        if name == "proposed" and self.config.budget_bytes is not None:
-            # The epochwise carried-perturbation store honours the same
-            # byte budget as the loader's shard cache, with its blocks
-            # aligned to the loader's shards so whole blocks age out
-            # together with the shards that produced them.
-            kwargs["delta_budget_bytes"] = self.config.budget_bytes
-            kwargs["delta_block_size"] = self.config.resolved_shard_size
-        return kwargs
+        return {"warmup_epochs": self.config.warmup_epochs}
 
     # ------------------------------------------------------------------
     def get(self, name: str, **trainer_overrides) -> TrainedDefense:

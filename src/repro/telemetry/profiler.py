@@ -21,8 +21,8 @@ Usage::
         train(...)
     prof.save("profile.collapsed")     # or print(prof.collapsed())
 
-or, from the CLI, ``repro --profile out.collapsed table1 ...`` and
-``repro profile table1 ...``.
+or, from the CLI, ``repro table1 ... --profile out.collapsed`` (any
+artefact subcommand takes the flag).
 """
 
 from __future__ import annotations

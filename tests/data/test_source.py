@@ -66,19 +66,13 @@ class TestTensorSource:
 
 class TestAsSource:
     def test_wraps_dataset(self):
-        source = as_source(make_dataset(6), shard_size=2)
+        source = as_source(make_dataset(6))
         assert isinstance(source, TensorSource)
-        assert source.num_shards == 3
+        assert source.num_shards == 1
 
     def test_passes_source_through(self):
         source = TensorSource(make_dataset(6), shard_size=2)
         assert as_source(source) is source
-        assert as_source(source, shard_size=2) is source
-
-    def test_conflicting_shard_size_raises(self):
-        source = TensorSource(make_dataset(6), shard_size=2)
-        with pytest.raises(ValueError, match="conflicts"):
-            as_source(source, shard_size=3)
 
 
 class TestSyntheticSource:

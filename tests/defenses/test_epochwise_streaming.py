@@ -94,8 +94,7 @@ class TestStreamedEqualsInMemory:
             assert np.array_equal(pb, pu)
 
     def test_delta_budget_bounds_peak_cache_bytes(self):
-        """Under a small ``--data-budget-mb``-style budget, both pipeline
-        stores stay within budget for the whole run (training degrades
+        """Under a small shared byte budget, both pipeline stores stay within budget for the whole run (training degrades
         gracefully — evicted examples restart from clean)."""
         from repro.runtime import compute_dtype
 
@@ -132,3 +131,36 @@ class TestStreamedEqualsInMemory:
             trainer.model.predict(test.examples) == test.labels
         ).mean()
         assert accuracy > 0.5
+
+
+class TestBudgetedRunRecord:
+    def test_report_shows_shard_cache_and_delta_evictions(self, tmp_path):
+        """A budgeted streamed ``proposed`` run, recorded as a JSONL run
+        record, surfaces both resident stores: the report prints the
+        shard-cache hit rate and the record carries delta-store
+        evictions."""
+        import json
+
+        from repro import telemetry
+        from repro.defenses import build_trainer
+        from repro.runtime import compute_dtype
+        from repro.telemetry import build_report
+
+        itemsize = np.dtype(compute_dtype()).itemsize
+        budget = 2 * SHARD * (28 * 28 * itemsize + 8)
+        trainer = build_trainer(
+            "proposed", mnist_mlp(seed=0), epsilon=0.2, warmup_epochs=0,
+            delta_budget_bytes=budget, delta_block_size=SHARD,
+        )
+        loader = DataLoader(
+            stream_source(), batch_size=16, rng=7, budget_bytes=budget
+        )
+        path = str(tmp_path / "stream.jsonl")
+        with telemetry.capture(jsonl=path):
+            trainer.fit(loader, epochs=2)
+
+        assert "shard cache hit-rate:" in build_report(path).render()
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        gauges = [r for r in records if r["type"] == "metrics"][-1]["gauges"]
+        assert gauges["epochwise.cache_evictions"] > 0

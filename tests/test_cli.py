@@ -45,6 +45,20 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["table1", "figure1", "figure2", "ablate", "audit", "serve"],
+    )
+    def test_stream_flags_removed(self, command, capsys):
+        # Streaming is a library API only; none of its three former
+        # flags parses on any subcommand.
+        for stem in ("stream", "shard-size", "data-budget-mb"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, f"--{stem}"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: --{stem}" in err
+
     def test_workers_threads_into_config(self):
         from repro.cli import _config_for
 
@@ -96,6 +110,23 @@ class TestSmokeRuns:
         assert "gradient-masking diagnostics" in out
         assert code in (0, 1)  # masking verdict may flag at smoke scale
 
+    def test_audit_trains_through_classifier_pool(self, capsys):
+        from repro.eval import RobustnessEvaluator
+        from repro.experiments import ClassifierPool, smoke_scale
+
+        main(["audit", "--scale", "smoke", "--defense", "fgsm_adv"])
+        printed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("robust accuracy: ")
+        ]
+        config = smoke_scale("digits")
+        pool = ClassifierPool(config)
+        suite = RobustnessEvaluator.paper_suite(config.resolved_epsilon)
+        accuracy = suite.evaluate(
+            pool.get("fgsm_adv").model, pool.test_x, pool.test_y
+        )
+        assert printed == [f"robust accuracy: {accuracy}"]
+
 
 class TestObservabilityCommands:
     def _run_record(self, tmp_path):
@@ -135,23 +166,6 @@ class TestObservabilityCommands:
         run = self._run_record(tmp_path)
         assert main(["report", run]) == 0
         assert "Training time per epoch" in capsys.readouterr().out
-
-    def test_profile_subcommand_wraps_table1(self, capsys, tmp_path):
-        out_path = str(tmp_path / "prof.collapsed")
-        code = main([
-            "profile", "--out", out_path, "--hz", "199",
-            "table1", "--scale", "smoke",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Table I" in out
-        assert "sampling profile:" in out
-        with open(out_path) as handle:
-            assert handle.read().strip()  # non-empty collapsed stacks
-
-    def test_profile_without_subcommand_errors(self, capsys):
-        assert main(["profile"]) == 2
-        assert "usage:" in capsys.readouterr().out
 
     def test_profile_flag_on_subcommand(self, capsys, tmp_path):
         out_path = str(tmp_path / "prof.collapsed")
