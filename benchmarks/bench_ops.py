@@ -2,7 +2,9 @@
 
 Tracks the substrate performance the experiment costs rest on: forward and
 forward+backward passes of the dense and convolutional models, plus the two
-most expensive primitives (conv2d, matmul).
+most expensive primitives (conv2d, matmul); conv2d also runs forward +
+backward at mnist_cnn's two layer shapes and batch 128, the configuration
+the experiments train at.
 
 Every bench is parametrised over the runtime precision policy so a run
 reports float32-vs-float64 throughput side by side (compare within each
@@ -52,6 +54,45 @@ def test_conv2d_forward(benchmark, dtype):
             .astype(compute_dtype())
         )
         benchmark(lambda: conv2d(x, w, padding=1).data)
+
+
+# mnist_cnn's two convolutions (input, weight) at the experiments' batch
+# size; conv2's input arrives in NHWC memory, as the pool above it emits.
+CNN_CONVS = {
+    "conv1": ((128, 1, 28, 28), (16, 1, 3, 3)),
+    "conv2": ((128, 16, 14, 14), (32, 16, 3, 3)),
+}
+
+
+def nhwc_memory(arr):
+    """``arr`` (NCHW-shaped) as the NCHW view of NHWC memory."""
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.benchmark(group="ops-conv2d-pass")
+@pytest.mark.parametrize("layer", list(CNN_CONVS))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv2d_forward_backward_batch128(benchmark, dtype, layer):
+    """One training pass of a mnist_cnn conv: forward, then the input,
+    weight and bias gradients."""
+    x_shape, w_shape = CNN_CONVS[layer]
+    with precision(dtype):
+        rng = np.random.default_rng(0)
+        x = nhwc_memory(rng.uniform(0, 1, size=x_shape).astype(dtype))
+        w = (rng.normal(size=w_shape) * 0.1).astype(dtype)
+        b = np.zeros(w_shape[0], dtype)
+        grad = nhwc_memory(
+            rng.normal(size=(x_shape[0], w_shape[0], *x_shape[2:]))
+            .astype(dtype)
+        )
+
+        def step():
+            tx = Tensor(x, requires_grad=True)
+            tw = Tensor(w, requires_grad=True)
+            tb = Tensor(b, requires_grad=True)
+            conv2d(tx, tw, tb, padding=1).backward(grad)
+
+        benchmark(step)
 
 
 @pytest.mark.benchmark(group="ops-loss")

@@ -19,12 +19,19 @@ pairs with these columns once permuted to ``(C_out, kh, kw, C)``.
 
 Patches are gathered through ``np.lib.stride_tricks.sliding_window_view``
 (a zero-copy strided view; the only copy is the single C-level write into
-the column matrix), and the column/padded scratch buffers are drawn from
-the per-thread :class:`~repro.runtime.Workspace` pool so the
-identically-shaped per-batch buffers are reused across training steps.
+the column matrix).
 
-Buffer ownership: ``im2col`` returns a workspace-acquired buffer the
-*caller* owns and should release once the columns are dead (see
+Two levels
+----------
+:func:`gather_columns` and :func:`scatter_columns` work on an already padded
+NHWC array and write into a buffer the caller passes, so ``Conv2d`` can run
+them one cache-sized block of images at a time into block-sized buffers of
+its own (it never holds a full-batch column matrix and draws nothing from
+the workspace pool).
+
+:func:`im2col` and :func:`col2im` are their whole-batch forms, used by the
+pooling kernels' non-tiling layouts.  ``im2col`` returns a workspace-acquired
+buffer the *caller* owns and should release once the columns are dead (see
 :mod:`repro.runtime.workspace`).  ``col2im``'s result escapes into the
 autograd engine as a gradient, so it is allocated normally; only its
 internal padded scratch buffer is pooled.
@@ -39,6 +46,9 @@ from ..runtime import get_workspace
 
 __all__ = [
     "conv_output_size",
+    "pad_nhwc",
+    "gather_columns",
+    "scatter_columns",
     "im2col",
     "col2im",
 ]
@@ -53,6 +63,86 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"does not fit input of size {size}"
         )
     return out
+
+
+def pad_nhwc(
+    x: np.ndarray, padding: int, pad_value: float = 0.0, out=None
+) -> np.ndarray:
+    """``(N, H + 2p, W + 2p, C)`` NHWC form of an NCHW-shaped image, with a
+    border of ``pad_value``.
+
+    Without padding this is the NHWC transpose *view* of ``x`` (no copy);
+    otherwise it is written into ``out`` when given, a fresh array if not.
+    """
+    src = x.transpose(0, 2, 3, 1)
+    if padding == 0:
+        return src
+    n, h, w, c = src.shape
+    if out is None:
+        out = np.empty((n, h + 2 * padding, w + 2 * padding, c), x.dtype)
+    out.fill(pad_value)
+    out[:, padding : padding + h, padding : padding + w, :] = src
+    return out
+
+
+def gather_columns(
+    padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int, out
+) -> np.ndarray:
+    """Write the ``(kh, kw, C)``-ordered columns of ``padded`` into ``out``.
+
+    ``padded`` is an ``(N, H', W', C)`` array of already padded images, in
+    any strides; ``out`` is an ``(N * out_h * out_w, kernel_h * kernel_w * C)``
+    C-contiguous buffer.  Returns ``out``.
+    """
+    n, padded_h, padded_w, c = padded.shape
+    out_h = (padded_h - kernel_h) // stride + 1
+    out_w = (padded_w - kernel_w) // stride + 1
+    # (N, H', W', C, kh, kw) strided view over every window start, then
+    # subsampled to the stride grid — no data is copied until the final
+    # gather below, whose innermost runs are contiguous channel vectors.
+    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(1, 2))
+    windows = windows[
+        :,
+        : (out_h - 1) * stride + 1 : stride,
+        : (out_w - 1) * stride + 1 : stride,
+    ]
+    out.reshape(n, out_h, out_w, kernel_h, kernel_w, c)[...] = (
+        windows.transpose(0, 1, 2, 4, 5, 3)
+    )
+    return out
+
+
+def scatter_columns(
+    cols: np.ndarray, padded: np.ndarray, kernel_h: int, kernel_w: int,
+    stride: int,
+) -> np.ndarray:
+    """Adjoint of :func:`gather_columns`: overwrite the ``(N, H', W', C)``
+    array ``padded`` with the scatter-add of ``cols``.  Returns ``padded``.
+    """
+    n, padded_h, padded_w, c = padded.shape
+    out_h = (padded_h - kernel_h) // stride + 1
+    out_w = (padded_w - kernel_w) // stride + 1
+    cols = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)
+    if (
+        stride == kernel_h == kernel_w
+        and padded_h == out_h * stride
+        and padded_w == out_w * stride
+    ):
+        # Non-overlapping windows that tile the (padded) image exactly —
+        # the pooling layout.  The scatter-add degenerates to a pure
+        # permutation, served by one strided assignment with no zero fill.
+        padded.reshape(n, out_h, kernel_h, out_w, kernel_w, c)[...] = (
+            cols.transpose(0, 1, 3, 2, 4, 5)
+        )
+        return padded
+    # Both sides of each `+=` move contiguous channel vectors.
+    padded.fill(0.0)
+    for i in range(kernel_h):
+        i_max = i + stride * out_h
+        for j in range(kernel_w):
+            j_max = j + stride * out_w
+            padded[:, i:i_max:stride, j:j_max:stride, :] += cols[:, :, :, i, j, :]
+    return padded
 
 
 def im2col(
@@ -84,28 +174,14 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     ws = get_workspace()
-    src = x.transpose(0, 2, 3, 1)
     pad_buf = None
     if padding > 0:
         pad_buf = ws.acquire(
             (n, h + 2 * padding, w + 2 * padding, c), x.dtype
         )
-        pad_buf.fill(pad_value)
-        pad_buf[:, padding : padding + h, padding : padding + w, :] = src
-        src = pad_buf
-    # (N, H', W', C, kh, kw) strided view over every window start, then
-    # subsampled to the stride grid — no data is copied until the final
-    # gather below, whose innermost runs are contiguous channel vectors.
-    windows = sliding_window_view(src, (kernel_h, kernel_w), axis=(1, 2))
-    windows = windows[
-        :,
-        : (out_h - 1) * stride + 1 : stride,
-        : (out_w - 1) * stride + 1 : stride,
-    ]
+    src = pad_nhwc(x, padding, pad_value, out=pad_buf)
     cols = ws.acquire((n * out_h * out_w, kernel_h * kernel_w * c), x.dtype)
-    cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)[...] = (
-        windows.transpose(0, 1, 2, 4, 5, 3)
-    )
+    gather_columns(src, kernel_h, kernel_w, stride, out=cols)
     if pad_buf is not None:
         ws.release(pad_buf)
     return cols
@@ -124,41 +200,15 @@ def col2im(
     Returns an ``input_shape`` (NCHW) view of a fresh NHWC array.
     """
     n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, padding)
-    out_w = conv_output_size(w, kernel_w, stride, padding)
-    cols = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)
-    padded_h, padded_w = h + 2 * padding, w + 2 * padding
-    tiles = (
-        stride == kernel_h == kernel_w
-        and padded_h == out_h * stride
-        and padded_w == out_w * stride
-    )
     # Without padding the accumulator itself escapes as the gradient, so it
     # must not come from (or return to) the pool.
-    ws = get_workspace()
-    if padding > 0:
-        padded = ws.acquire((n, padded_h, padded_w, c), cols.dtype)
-    else:
-        padded = np.empty((n, h, w, c), dtype=cols.dtype)
-    if tiles:
-        # Non-overlapping windows that tile the (padded) image exactly —
-        # the pooling layout.  The scatter-add degenerates to a pure
-        # permutation, served by one strided assignment with no zero fill.
-        padded.reshape(n, out_h, kernel_h, out_w, kernel_w, c)[...] = (
-            cols.transpose(0, 1, 3, 2, 4, 5)
-        )
-    else:
-        # Both sides of each `+=` move contiguous channel vectors.
-        padded.fill(0.0)
-        for i in range(kernel_h):
-            i_max = i + stride * out_h
-            for j in range(kernel_w):
-                j_max = j + stride * out_w
-                padded[:, i:i_max:stride, j:j_max:stride, :] += (
-                    cols[:, :, :, i, j, :]
-                )
     if padding == 0:
+        padded = np.empty((n, h, w, c), dtype=cols.dtype)
+        scatter_columns(cols, padded, kernel_h, kernel_w, stride)
         return padded.transpose(0, 3, 1, 2)
+    ws = get_workspace()
+    padded = ws.acquire((n, h + 2 * padding, w + 2 * padding, c), cols.dtype)
+    scatter_columns(cols, padded, kernel_h, kernel_w, stride)
     out = np.empty((n, h, w, c), dtype=padded.dtype)
     out[...] = padded[:, padding:-padding, padding:-padding, :]
     ws.release(padded)

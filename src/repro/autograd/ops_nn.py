@@ -9,7 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime import get_workspace
-from ._im2col import col2im, conv_output_size, im2col
+from ._im2col import (
+    col2im,
+    conv_output_size,
+    gather_columns,
+    im2col,
+    pad_nhwc,
+    scatter_columns,
+)
 from .engine import Function, Tensor, as_tensor, is_grad_enabled
 from .ops_reduce import logsumexp
 
@@ -146,11 +153,31 @@ class Softmax(Function):
         return (out * (grad_output - dot),)
 
 
+# Bytes of one block of the conv column matrix: Conv2d builds and consumes
+# its columns (and their gradient) one block of images at a time, so the
+# working set stays inside a core's L2 cache instead of a full-batch
+# temporary streaming through memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _image_blocks(n, image_bytes):
+    """Images per block and the ``slice`` of each block of an ``n``-image
+    batch whose per-image column matrix takes ``image_bytes``."""
+    per_block = max(1, min(n, _BLOCK_BYTES // image_bytes))
+    return per_block, [
+        slice(start, min(start + per_block, n))
+        for start in range(0, n, per_block)
+    ]
+
+
 class Conv2d(Function):
-    """2-D cross-correlation via im2col + GEMM.
+    """2-D cross-correlation via im2col + GEMM, one block of images at a
+    time (see ``_BLOCK_BYTES``).
 
     Takes and returns NCHW-shaped arrays; the output (and the input
-    gradient) is a view of NHWC memory (see :mod:`._im2col`).
+    gradient) is a view of NHWC memory (see :mod:`._im2col`).  Forward
+    saves the padded input rather than the columns; the weight gradient
+    rebuilds each block's columns.
     """
 
     @staticmethod
@@ -163,100 +190,97 @@ class Conv2d(Function):
             )
         out_h = conv_output_size(h, kh, stride, padding)
         out_w = conv_output_size(w, kw, stride, padding)
-        cols = im2col(x, kh, kw, stride, padding)
+        padded = pad_nhwc(x, padding)
         # Weight permuted once to the (kh, kw, C)-ordered column layout.
         w_mat = weight.transpose(0, 2, 3, 1).reshape(c_out, -1)
-        out = cols @ w_mat.T
+        rows, k = out_h * out_w, w_mat.shape[1]
+        per_block, blocks = _image_blocks(n, rows * k * x.dtype.itemsize)
+        cols = np.empty((per_block * rows, k), x.dtype)
+        out = np.empty(
+            (n, out_h, out_w, c_out), np.result_type(x.dtype, weight.dtype)
+        )
+        for block in blocks:
+            block_cols = cols[: (block.stop - block.start) * rows]
+            gather_columns(padded[block], kh, kw, stride, out=block_cols)
+            np.matmul(block_cols, w_mat.T, out=out[block].reshape(-1, c_out))
         if bias is not None:
             if np.result_type(out.dtype, bias.dtype) == out.dtype:
-                np.add(out, bias, out=out)  # GEMM result is fresh: add in place
+                np.add(out, bias, out=out)  # fresh output: add in place
             else:
                 out = out + bias
-        out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
         if is_grad_enabled():
-            # The column matrix is reused for grad_weight; the backward
-            # pass releases it once the gradients are formed.
             ctx.save_for_backward(
-                cols, w_mat, weight.shape, x.shape, stride, padding,
+                padded, w_mat, weight.shape, x.shape, stride, padding,
                 bias is not None,
             )
-        else:
-            get_workspace().release(cols)
-        return out
+        return out.transpose(0, 3, 1, 2)
 
     @staticmethod
     def backward(ctx, grad_output):
-        cols, w_mat, w_shape, x_shape, stride, padding, has_bias = ctx.saved
-        if cols is None:
-            raise RuntimeError(
-                "Conv2d backward called twice on the same graph node; the "
-                "column workspace buffer has already been recycled"
-            )
+        padded, w_mat, w_shape, x_shape, stride, padding, has_bias = ctx.saved
         c_out, c_in, kh, kw = w_shape
         n, _, h, w = x_shape
-        workspace = get_workspace()
-        # (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out): a free view
-        # of NHWC memory, a copy for any other layout.
-        _, _, out_h, out_w = grad_output.shape
-        grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        grad_weight = None
+        # (N, out_h, out_w, C_out): a free view of NHWC memory; each block
+        # below reshapes to (rows, C_out) without a copy for that layout.
+        grad = grad_output.transpose(0, 2, 3, 1)
+        rows = grad.shape[1] * grad.shape[2]
+        k = w_mat.shape[1]
+        per_block, blocks = _image_blocks(n, rows * k * padded.dtype.itemsize)
+        # The input (e.g. a clean training batch, as opposed to an attack's
+        # perturbation variable) or the weights (frozen by an attack) may
+        # take no gradient: then that GEMM, and the column rebuild or the
+        # scatter, are skipped.
+        grad_w_mat = grad_bias = grad_x = None
         if ctx.needs(1):
-            # Back from the (kh, kw, C) column order to a C-contiguous
-            # (C_out, C_in, kh, kw) gradient.
-            grad_weight = np.ascontiguousarray(
-                (grad_mat.T @ cols)
-                .reshape(c_out, kh, kw, c_in)
-                .transpose(0, 3, 1, 2)
+            cols = np.empty((per_block * rows, k), padded.dtype)
+            grad_w_mat = np.zeros(
+                (c_out, k), np.result_type(grad.dtype, padded.dtype)
             )
-        grad_bias = None
         if has_bias and ctx.needs(2):
             # A GEMV against ones: a column sum of the tall, narrow
             # gradient matrix is several times slower as an axis-0 reduce.
-            grad_bias = np.ones(grad_mat.shape[0], grad_mat.dtype) @ grad_mat
-        result_dtype = np.result_type(grad_mat.dtype, w_mat.dtype)
-        if not ctx.needs(0):
-            # The input (e.g. a clean training batch, as opposed to an
-            # attack's perturbation variable) takes no gradient: skip the
-            # whole input-gradient GEMM + scatter.
-            grad_x = None
-        elif c_in * kh * kw >= 64:
-            # Fused GEMM + scatter: one small GEMM per kernel position,
-            # accumulated straight into an NHWC image buffer.  Skips
-            # materialising the full (rows, kh*kw*C_in) column gradient;
-            # wins once the per-position GEMMs are big enough to amortise
-            # the k^2 BLAS dispatches.
-            padded = workspace.acquire(
-                (n, h + 2 * padding, w + 2 * padding, c_in), result_dtype
-            )
-            padded.fill(0.0)
-            tmp = workspace.acquire((grad_mat.shape[0], c_in), result_dtype)
-            tmp_img = tmp.reshape(n, out_h, out_w, c_in)
-            i_max = stride * out_h
-            j_max = stride * out_w
-            for i in range(kh):
-                for j in range(kw):
-                    start = (i * kw + j) * c_in
-                    np.matmul(grad_mat, w_mat[:, start : start + c_in], out=tmp)
-                    padded[:, i : i + i_max : stride, j : j + j_max : stride, :] += (
-                        tmp_img
+            ones = np.ones(per_block * rows, grad.dtype)
+            grad_bias = np.zeros(c_out, grad.dtype)
+        if ctx.needs(0):
+            result_dtype = np.result_type(grad.dtype, w_mat.dtype)
+            grad_cols = np.empty((per_block * rows, k), result_dtype)
+            grad_x = np.empty((n, h, w, c_in), result_dtype)
+            if padding > 0:
+                grad_padded = np.empty(
+                    (per_block, *padded.shape[1:]), result_dtype
+                )
+        for block in blocks:
+            count = block.stop - block.start
+            block_rows = count * rows
+            grad_mat = grad[block].reshape(-1, c_out)
+            if grad_w_mat is not None:
+                gather_columns(
+                    padded[block], kh, kw, stride, out=cols[:block_rows]
+                )
+                grad_w_mat += grad_mat.T @ cols[:block_rows]
+            if grad_bias is not None:
+                grad_bias += ones[:block_rows] @ grad_mat
+            if grad_x is not None:
+                block_grad = grad_cols[:block_rows]
+                np.matmul(grad_mat, w_mat, out=block_grad)
+                if padding == 0:
+                    scatter_columns(block_grad, grad_x[block], kh, kw, stride)
+                else:
+                    scatter_columns(
+                        block_grad, grad_padded[:count], kh, kw, stride
                     )
-            grad_x = np.empty((n, h, w, c_in), dtype=result_dtype)
-            grad_x[...] = padded[:, padding : padding + h, padding : padding + w, :]
-            grad_x = grad_x.transpose(0, 3, 1, 2)
-            workspace.release(tmp)
-            workspace.release(padded)
-        else:
-            grad_cols = workspace.acquire(
-                (grad_mat.shape[0], w_mat.shape[1]), result_dtype
+                    grad_x[block] = grad_padded[
+                        :count, padding : padding + h, padding : padding + w
+                    ]
+        if grad_w_mat is not None:
+            # Back from the (kh, kw, C) column order to a C-contiguous
+            # (C_out, C_in, kh, kw) gradient.
+            grad_w_mat = np.ascontiguousarray(
+                grad_w_mat.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
             )
-            np.matmul(grad_mat, w_mat, out=grad_cols)
-            grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding)
-            workspace.release(grad_cols)
-        workspace.release(cols)
-        ctx.save_for_backward(
-            None, w_mat, w_shape, x_shape, stride, padding, has_bias
-        )
-        return grad_x, grad_weight, grad_bias
+        if grad_x is not None:
+            grad_x = grad_x.transpose(0, 3, 1, 2)
+        return grad_x, grad_w_mat, grad_bias
 
 
 def _pool_tiles(shape, kernel_size, stride, padding):

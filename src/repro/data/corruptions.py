@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from ..runtime import ensure_float_array
 from ..utils.rng import RngLike, ensure_rng
@@ -73,6 +72,10 @@ def gaussian_blur(
     x: np.ndarray, severity: int = 1, rng: RngLike = None
 ) -> np.ndarray:
     """Gaussian blur over the spatial axes."""
+    # Imported here: scipy (and the numpy.testing / f2py it pulls in) would
+    # otherwise load into every process that imports the package.
+    from scipy import ndimage
+
     sigma = [0.4, 0.6, 0.9, 1.3, 1.8][_check_severity(severity) - 1]
     out = np.empty_like(x)
     for i in range(x.shape[0]):

@@ -30,18 +30,24 @@ def mnist_cnn(
 ) -> FeatureClassifier:
     """Small ConvNet matching the depth class of the paper's MNIST nets.
 
-    conv3x3(16) - ReLU - maxpool2 - conv3x3(32) - ReLU - maxpool2 -
+    conv3x3(16) - maxpool2 - ReLU - conv3x3(32) - maxpool2 - ReLU -
     flatten - dense(128) - ReLU - dense(num_classes)
+
+    Each ReLU follows its max-pool: the two commute exactly (ReLU is
+    monotone, and an all-negative window maps to zero either way), so the
+    function and every gradient are those of conv - ReLU - pool, while the
+    ReLU runs on a quarter of the elements.  Parameters keep the names
+    ``features.0/3/7`` of that order.
     """
     rngs = spawn_rngs(ensure_rng(seed), 4)
     pooled = image_size // 4
     features = Sequential(
         Conv2d(in_channels, 16, kernel_size=3, padding=1, rng=rngs[0]),
-        ReLU(),
         MaxPool2d(2),
+        ReLU(),
         Conv2d(16, 32, kernel_size=3, padding=1, rng=rngs[1]),
-        ReLU(),
         MaxPool2d(2),
+        ReLU(),
         Flatten(),
         Dense(32 * pooled * pooled, 128, rng=rngs[2]),
         ReLU(),
@@ -80,13 +86,17 @@ def small_cnn(
     image_size: int = 28,
     seed: int = 0,
 ) -> FeatureClassifier:
-    """Tiny ConvNet for fast tests: one conv block plus a small dense stack."""
+    """Tiny ConvNet for fast tests: one conv block plus a small dense stack.
+
+    conv3x3(8) - maxpool2 - ReLU - flatten - dense(32) - ReLU -
+    dense(num_classes); the ReLU follows the pool as in :func:`mnist_cnn`.
+    """
     rngs = spawn_rngs(ensure_rng(seed), 3)
     pooled = image_size // 2
     features = Sequential(
         Conv2d(in_channels, 8, kernel_size=3, padding=1, rng=rngs[0]),
-        ReLU(),
         MaxPool2d(2),
+        ReLU(),
         Flatten(),
         Dense(8 * pooled * pooled, 32, rng=rngs[1]),
         ReLU(),

@@ -13,8 +13,8 @@ parameter initialisation, dataset emission and attack arithmetic.
 
 Also hosts the scratch-buffer workspace (see
 :mod:`repro.runtime.workspace`): a per-thread pool the hot-path kernels
-(fused loss, im2col, backward accumulation) recycle their large buffers
-through.
+(pooling im2col, batch casts, backward accumulation) recycle their large
+buffers through.
 """
 
 from .policy import (

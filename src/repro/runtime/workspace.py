@@ -1,9 +1,12 @@
 """Reusable scratch-buffer pool backing the hot-path kernels.
 
-The convolution/pooling kernels and the autograd engine allocate the same
-handful of large, identically-shaped buffers on every training step: the
-im2col column matrix, the zero-padded image used by ``col2im``, and the
-gradient-accumulation buffers of multi-consumer graph nodes.  Allocating
+The pooling kernels, the data and attack layers and the autograd engine
+allocate the same handful of large, identically-shaped buffers on every
+training step: the whole-batch im2col column matrix and ``col2im`` padded
+image of non-tiling pool layouts, batch and perturbation buffers, and the
+gradient-accumulation buffers of multi-consumer graph nodes.  (``Conv2d``
+draws nothing from the pool: it works in block-sized buffers of its own.)
+Allocating
 (and for zero-filled buffers, memsetting) them anew each step is pure
 overhead, so this module provides a per-thread :class:`Workspace` pool that
 recycles them across steps.

@@ -1,9 +1,11 @@
 """Allocation-regression tests for the hot-path training step.
 
-Once the workspace pool is warm, a training step must serve every scratch
-buffer from the pool (the miss counter stays put) and the backward pass
-must stay within a small, fixed budget of explicit array allocations —
-catching regressions that quietly reintroduce per-step allocation churn.
+Once the workspace pool is warm, a training step must take no fresh buffer
+from the pool (the miss counter stays put), the conv stack must draw
+nothing from it at all (``Conv2d`` works in block-sized buffers of its
+own), and the backward pass must stay within a small, fixed budget of
+explicit array allocations — catching regressions that quietly reintroduce
+per-step allocation churn.
 """
 
 import numpy as np
@@ -50,7 +52,12 @@ def test_warm_step_serves_all_buffers_from_pool():
             "a warmed training step allocated fresh workspace buffers "
             f"({workspace.misses - misses_before} pool misses)"
         )
-        assert workspace.hits > hits_before
+        # mnist_cnn's conv, tiled max-pool, dense and fused-loss kernels
+        # all run without pool buffers.
+        assert workspace.hits == hits_before, (
+            "a warmed mnist_cnn step drew "
+            f"{workspace.hits - hits_before} buffers from the workspace pool"
+        )
 
 
 def test_backward_allocation_budget(monkeypatch):

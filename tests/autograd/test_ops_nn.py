@@ -21,6 +21,7 @@ from repro.autograd import (
 )
 from repro.autograd._im2col import col2im, conv_output_size, im2col
 from repro.runtime import precision
+from tests.helpers import in_layout
 
 
 def randn(*shape, seed=0, scale=1.0):
@@ -31,13 +32,6 @@ def randn(*shape, seed=0, scale=1.0):
 # the NCHW view of NHWC memory that conv and pool outputs are.
 LAYOUTS = ["nchw", "nhwc"]
 DTYPES = ["float64", "float32"]
-
-
-def in_layout(arr, layout):
-    """``arr`` (NCHW-shaped) copied into the given memory layout."""
-    if layout == "nchw":
-        return np.ascontiguousarray(arr)
-    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def randn_in(layout, *shape, seed=0, scale=1.0):
@@ -216,8 +210,7 @@ class TestConv2d:
             )
 
     def test_gradients_wide_input(self):
-        """C_in * k^2 >= 64 takes the fused per-kernel-position input
-        gradient rather than the column GEMM + col2im one."""
+        """A wide column matrix: C_in * k^2 = 72 columns per row."""
         for layout in LAYOUTS:
             check_gradients(
                 lambda x, w: conv2d(x, w, stride=1, padding=1),
@@ -228,7 +221,7 @@ class TestConv2d:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("c_in", [2, 8])
     def test_float32_backward_matches_float64(self, layout, c_in):
-        """Both dtypes and both input-gradient routes; the input gradient
+        """Both dtypes, narrow and wide column matrices; the input gradient
         comes back in NHWC memory, the weight gradient C-contiguous."""
         grads = {}
         for dtype in DTYPES:

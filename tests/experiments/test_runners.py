@@ -8,6 +8,8 @@ the suite, but they guard the paper-artefact code paths.
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
+from repro.data import DataLoader
 from repro.experiments import (
     ClassifierPool,
     FIGURE1_CLASSIFIERS,
@@ -91,18 +93,37 @@ class TestTable1Runner:
             assert set(row) == {"original", "fgsm", "bim10", "bim30"}
         assert set(result.time_per_epoch) == set(TABLE1_METHODS)
 
-    def test_timing_ordering_iter_vs_single(self, config, pool):
-        """Even at smoke scale, BIM(30)-Adv must cost more per epoch than
-        the single-step methods — the paper's structural claim."""
-        result = run_table1(config, pool=pool)
+    def test_timing_ordering_iter_vs_single(self, monkeypatch):
+        """Even at smoke scale, BIM(30)-Adv must cost more per batch than
+        BIM(10)-Adv, and BIM(10)-Adv more than the proposed single-step
+        method — the paper's structural claim, counted in backward passes
+        (as tests/defenses/test_pass_counts.py counts them) rather than read
+        off a clock; bench_table1.py asserts the s/epoch ordering above
+        smoke scale."""
+        counts = {"backward": 0}
+        real_backward = Tensor.backward
+
+        def counting(*args, **kwargs):
+            counts["backward"] += 1
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", counting)
+        per_batch = {}
+        for method in ("proposed", "bim10_adv", "bim30_adv"):
+            fresh = ClassifierPool(smoke_scale("digits"))
+            loader = DataLoader(
+                fresh.train_set, batch_size=fresh.config.batch_size
+            )
+            counts["backward"] = 0
+            fresh.get(method)
+            per_batch[method] = counts["backward"] / (
+                fresh.config.epochs * len(loader)
+            )
         assert (
-            result.time_per_epoch["bim30_adv"]
-            > result.time_per_epoch["proposed"]
-        )
-        assert (
-            result.time_per_epoch["bim30_adv"]
-            > result.time_per_epoch["bim10_adv"]
-        )
+            per_batch["bim30_adv"]
+            > per_batch["bim10_adv"]
+            > per_batch["proposed"]
+        ), per_batch
 
     def test_improvement_and_speedup_helpers(self, config, pool):
         result = run_table1(config, pool=pool)

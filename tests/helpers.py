@@ -14,3 +14,12 @@ def box_tol(arr) -> float:
     """
     finfo = np.finfo(np.asarray(arr).dtype)
     return max(1e-12, 16.0 * float(finfo.eps))
+
+
+def in_layout(arr, layout):
+    """``arr`` (NCHW-shaped) copied into the given memory layout: "nchw"
+    (C-contiguous) or "nhwc" (the NCHW view of NHWC memory that conv and
+    pool outputs are)."""
+    if layout == "nchw":
+        return np.ascontiguousarray(arr)
+    return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)

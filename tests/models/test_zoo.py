@@ -12,6 +12,8 @@ from repro.models import (
     mnist_mlp,
     small_cnn,
 )
+from repro.nn import MaxPool2d, ReLU, Sequential, cross_entropy
+from repro.runtime import precision
 
 
 def batch(n=4, size=28, seed=0):
@@ -73,6 +75,66 @@ class TestFactories:
         out3 = model(Tensor(batch())).data
         out4 = model(Tensor(batch())).data
         assert np.array_equal(out3, out4)
+
+
+def conv_relu_pool(model):
+    """``model`` rebuilt in conv - ReLU - pool order around the same layer
+    objects (so the same parameters)."""
+    layers = list(model.features)
+    pools = [i for i, layer in enumerate(layers) if isinstance(layer, MaxPool2d)]
+    for i in pools:
+        # The zoo's order is conv - pool - ReLU: swap each pool with the
+        # ReLU after it.
+        assert isinstance(layers[i + 1], ReLU)
+        layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return FeatureClassifier(Sequential(*layers), model.head, model.num_classes)
+
+
+def commutation_batch(dtype):
+    """Random, constant (every pool window ties) and negative images, so
+    conv maps hold ties and all-negative windows."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, size=(8, 1, 28, 28))
+    x[1] = 0.0
+    x[2] = 1.0
+    x[3] = -1.0
+    x[4] = -np.abs(x[4])
+    x[5, :, ::2] = 0.5
+    return x.astype(dtype), rng.integers(0, 10, size=8)
+
+
+class TestReluAfterPool:
+    @pytest.mark.parametrize("factory", [mnist_cnn, small_cnn])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_exactly_commutes_with_conv_relu_pool(self, factory, dtype):
+        """Max-pool and ReLU commute: logits, the input gradient and every
+        parameter gradient equal the conv - ReLU - pool network's."""
+        with precision(dtype):
+            model = factory(seed=0)
+            reference = conv_relu_pool(model)
+            x, y = commutation_batch(dtype)
+            results = []
+            for net in (model, reference):
+                net.zero_grad()
+                inp = Tensor(x, requires_grad=True)
+                logits = net(inp)
+                cross_entropy(logits, y).backward()
+                results.append(
+                    [logits.data, inp.grad]
+                    + [p.grad.copy() for p in net.parameters()]
+                )
+        for ours, theirs in zip(*results):
+            assert ours.dtype == np.dtype(dtype)
+            assert np.array_equal(ours, theirs)
+
+    def test_parameter_names_unchanged(self):
+        """Checkpoints saved from the conv - ReLU - pool order still load."""
+        assert list(mnist_cnn(seed=0).state_dict()) == [
+            f"features.{i}.{p}" for i in (0, 3, 7) for p in ("weight", "bias")
+        ] + ["head.weight", "head.bias"]
+        assert list(small_cnn(seed=0).state_dict()) == [
+            f"features.{i}.{p}" for i in (0, 4) for p in ("weight", "bias")
+        ] + ["head.weight", "head.bias"]
 
 
 class TestRegistry:

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -202,3 +206,23 @@ class TestObservabilityCommands:
             ["bench", "diff", "--baseline", str(tmp_path / "void")]
         ) == 2
         assert "no *.bench.json" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy():
+    """Only the gaussian_blur corruption needs scipy, so importing the CLI
+    (as every process does) must not load it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
