@@ -101,17 +101,13 @@ def _sweep_variants(
     grid cell per worker process (:func:`repro.parallel.parallel_map`);
     each forked cell trains its variant exactly as the serial loop would.
     """
-    workers = config.resolved_workers
-    if workers > 1 and len(overrides_list) > 1:
 
-        def cell(overrides: dict) -> Dict[str, float]:
-            return _evaluate_variant(pool, config, **overrides)
+    def cell(overrides: dict) -> Dict[str, float]:
+        return _evaluate_variant(pool, config, **overrides)
 
-        return parallel_map(cell, overrides_list, num_workers=workers)
-    return [
-        _evaluate_variant(pool, config, **overrides)
-        for overrides in overrides_list
-    ]
+    return parallel_map(
+        cell, overrides_list, num_workers=config.resolved_workers
+    )
 
 
 def run_step_size_ablation(

@@ -94,24 +94,20 @@ def run_figure1(
         )
         return [sweep[n] for n in result.iteration_counts]
 
-    workers = config.resolved_workers
-    if workers > 1:
-        # One grid worker per classifier: each forked cell trains and
-        # sweeps its classifier and ships only the curve back.  The
-        # trained models stay in the children, so the parent pool's cache
-        # is not populated — the figure artefact is the curves, not the
-        # weights.
-        curves = parallel_map(
-            sweep_one, list(FIGURE1_CLASSIFIERS), num_workers=workers
-        )
-        for name, ys in zip(FIGURE1_CLASSIFIERS, curves):
-            result.curves[name] = ys
-            if verbose:
-                print(f"figure1[{config.dataset}] swept {name}")
-        return result
-
-    for name in FIGURE1_CLASSIFIERS:
-        result.curves[name] = sweep_one(name)
+    # With more than one worker, each forked cell trains and sweeps its
+    # classifier and ships only the curve back: the trained models stay in
+    # the children, so the parent pool's cache is not populated — the
+    # figure artefact is the curves, not the weights.  Cells go out
+    # costliest first (FIGURE1_CLASSIFIERS runs cheapest first; BIM(30)-Adv
+    # trains on 31 passes per batch), so no worker starts the longest cell
+    # last while the others sit idle.
+    curves = parallel_map(
+        sweep_one,
+        FIGURE1_CLASSIFIERS[::-1],
+        num_workers=config.resolved_workers,
+    )[::-1]
+    for name, ys in zip(FIGURE1_CLASSIFIERS, curves):
+        result.curves[name] = ys
         if verbose:
             print(f"figure1[{config.dataset}] swept {name}")
     return result

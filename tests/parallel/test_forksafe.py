@@ -13,7 +13,7 @@ import multiprocessing
 import numpy as np
 
 from repro import telemetry as tel
-from repro.parallel import WorkerPool
+from repro.parallel import parallel_map
 from repro.runtime.workspace import get_workspace
 from repro.telemetry import core as tel_core
 
@@ -121,28 +121,23 @@ class TestTelemetryForkSafety:
         assert "forksafe.parent_counter" not in counters
 
     def test_worker_pool_children_can_emit_telemetry(self):
-        """End-to-end: a forked pool worker records spans and counters
-        without touching the parent's metrics."""
+        """End-to-end: parallel_map's forked workers record spans and
+        counters without touching the parent's metrics."""
         previous = tel.set_enabled(True)
         try:
             tel.counter("forksafe.parent_only")
 
-            def handler(worker_id, message):
-                tel.set_enabled(True)
+            def handler(_):
                 with tel.span("child-work"):
                     tel.counter("forksafe.child_only")
                 snap = tel_core._metrics.snapshot()["counters"]
                 return sorted(snap)
 
-            pool = WorkerPool(1, handler)
-            pool.start()
-            try:
-                pool.send(0, None)
-                child_counters = pool.recv(0, timeout=30)
-            finally:
-                pool.shutdown()
-            assert "forksafe.child_only" in child_counters
-            assert "forksafe.parent_only" not in child_counters
+            for child_counters in parallel_map(
+                handler, [0, 1], num_workers=2
+            ):
+                assert "forksafe.child_only" in child_counters
+                assert "forksafe.parent_only" not in child_counters
             parent = tel_core._metrics.snapshot()["counters"]
             assert "forksafe.child_only" not in parent
         finally:

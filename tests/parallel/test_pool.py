@@ -1,22 +1,14 @@
-"""Tests for the persistent forked worker pool and its crash detection."""
+"""Tests for the process pool behind parallel_map: worker counts, errors,
+crash detection and what reaches the forked workers."""
 
+import multiprocessing
 import os
+import signal
+import threading
 
 import pytest
 
-from repro.parallel import WorkerCrash, WorkerError, WorkerPool, resolve_workers
-
-
-def echo(worker_id, message):
-    return (worker_id, message)
-
-
-@pytest.fixture
-def pool():
-    p = WorkerPool(2, echo, name="repro-test")
-    p.start()
-    yield p
-    p.shutdown()
+from repro.parallel import WorkerCrash, parallel_map, resolve_workers
 
 
 class TestResolveWorkers:
@@ -41,94 +33,63 @@ class TestResolveWorkers:
             resolve_workers(None)
 
 
-def call(pool, worker_id, message, timeout=None):
-    pool.send(worker_id, message)
-    return pool.recv(worker_id, timeout=timeout)
-
-
 class TestRoundTrips:
-    def test_call_reaches_the_right_worker(self, pool):
-        assert call(pool, 0, "hello") == (0, "hello")
-        assert call(pool, 1, "world") == (1, "world")
+    def test_workers_are_separate_processes(self):
+        # Neither call returns until both are running at once, so the two
+        # items must sit in two different workers.
+        barrier = multiprocessing.get_context("fork").Barrier(2)
 
-    def test_send_recv_in_worker_order(self, pool):
-        for worker_id in range(2):
-            pool.send(worker_id, "ping")
-        assert [pool.recv(w) for w in range(2)] == [(0, "ping"), (1, "ping")]
-
-    def test_workers_are_separate_processes(self, pool):
-        def pid(worker_id, message):
+        def pid(_):
+            barrier.wait(timeout=30)
             return os.getpid()
 
-        p = WorkerPool(2, pid)
-        p.start()
-        try:
-            pids = [call(p, worker_id, None) for worker_id in range(2)]
-            assert len(set(pids)) == 2
-            assert os.getpid() not in pids
-        finally:
-            p.shutdown()
+        pids = parallel_map(pid, [0, 1], num_workers=2)
+        assert len(set(pids)) == 2
+        assert os.getpid() not in pids
 
     def test_closure_state_is_inherited_via_fork(self):
-        payload = {"token": 12345}
+        # A lock cannot be pickled: the callable reaches the workers
+        # through fork alone.
+        payload = {"token": 12345, "lock": threading.Lock()}
 
-        def handler(worker_id, message):
-            return payload["token"] + message
+        def handler(message):
+            with payload["lock"]:
+                return payload["token"] + message
 
-        p = WorkerPool(1, handler)
-        p.start()
-        try:
-            assert call(p, 0, 1) == 12346
-        finally:
-            p.shutdown()
+        assert parallel_map(handler, [1, 2], num_workers=2) == [12346, 12347]
 
 
 class TestErrors:
-    def test_handler_exception_carries_remote_traceback(self, pool):
-        def boom(worker_id, message):
-            raise RuntimeError("kaboom in the child")
+    def test_handler_exception_carries_remote_traceback(self):
+        def boom(x):
+            if x == 1:
+                raise RuntimeError("kaboom in the child")
+            return x
 
-        p = WorkerPool(1, boom)
-        p.start()
-        try:
-            with pytest.raises(WorkerError) as excinfo:
-                call(p, 0, None)
-            assert "kaboom in the child" in excinfo.value.remote_traceback
-            assert excinfo.value.worker_id == 0
-            # The worker survives its handler raising.
-            assert p._workers[0].process.is_alive()
-        finally:
-            p.shutdown()
-
-    def test_recv_timeout(self, pool):
-        with pytest.raises(TimeoutError):
-            pool.recv(0, timeout=0.1)
+        with pytest.raises(RuntimeError, match="kaboom") as excinfo:
+            parallel_map(boom, [0, 1], num_workers=2)
+        remote = str(excinfo.value.__cause__)
+        assert "kaboom in the child" in remote
+        assert "in boom" in remote
 
 
 class TestCrashRecovery:
-    def test_killed_worker_raises_worker_crash(self, pool):
-        pool.send(0, "before-death")
-        pool.recv(0)
-        pool.kill(0)
-        pool.send(1, "still-fine")  # sibling unaffected
-        with pytest.raises(WorkerCrash):
-            call(pool, 0, "into-the-void", timeout=10)
-        assert pool.recv(1) == (1, "still-fine")
+    def test_killed_worker_raises_worker_crash(self):
+        def die(x):
+            if x == "into-the-void":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
 
-    def test_shutdown_is_idempotent(self):
-        p = WorkerPool(2, echo)
-        p.start()
-        p.shutdown()
-        p.shutdown()
-        assert p._workers == [None, None]
+        with pytest.raises(WorkerCrash) as excinfo:
+            parallel_map(die, ["into-the-void", "still-fine"], num_workers=2)
+        assert "into-the-void" in str(excinfo.value)
 
     def test_shutdown_survives_dead_workers(self):
-        p = WorkerPool(2, echo)
-        p.start()
-        p.kill(0)
-        p.shutdown()
-        assert p._workers == [None, None]
+        with pytest.raises(WorkerCrash):
+            parallel_map(lambda _: os._exit(3), [1, 2], num_workers=2)
+        # Every worker was reaped: nothing is left running.
+        assert multiprocessing.active_children() == []
 
     def test_num_workers_validation(self):
         with pytest.raises(ValueError):
-            WorkerPool(0, echo)
+            parallel_map(abs, [1, 2], num_workers=-1)

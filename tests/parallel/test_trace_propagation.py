@@ -1,14 +1,15 @@
-"""Cross-process trace propagation through the worker pool.
+"""Cross-process trace propagation through parallel_map's workers.
 
-The contract: with telemetry enabled, ``WorkerPool.send`` wraps the
-payload in an envelope carrying the capture's spool directory, so every
-span a worker emits lands in its own spool file.  When the send happens
-inside a traced span the envelope also carries the trace context: the
-worker adopts it for the handler call, and root spans the handler opens
-carry the parent's ``trace_id`` and parent on the dispatching span.
+The contract: with telemetry enabled, parallel_map hands each worker the
+capture's spool directory at start-up, so every span a worker emits lands
+in its own spool file.  When the map is called inside a traced span, the
+workers also adopt that span's trace context around every call: root
+spans the mapped function opens carry the parent's ``trace_id`` and
+parent on the calling span.
 """
 
 import json
+import multiprocessing
 import os
 from collections import Counter
 
@@ -17,17 +18,26 @@ import pytest
 from repro import telemetry as tel
 from repro.experiments import smoke_scale
 from repro.experiments.figure1 import run_figure1
-from repro.parallel import WorkerPool
+from repro.parallel import parallel_map
+from repro.telemetry import trace as teltrace
 from repro.telemetry.sinks import load_records
 from repro.telemetry.trace import TraceCollector, shutdown_spool
 
 
-def traced_work(worker_id, message):
-    """Handler that opens a (root) span; emits to the worker's spool."""
-    tel.set_enabled(True)
-    with tel.span("work", worker=worker_id):
-        pass
-    return (os.getpid(), message)
+def _traced_work(barrier):
+    """A mapped function that opens a (root) span in two distinct workers.
+
+    Neither call returns before both have started, so the two items run
+    in two different processes.
+    """
+
+    def work(item):
+        barrier.wait(timeout=30)
+        with tel.span("work", item=item):
+            pass
+        return os.getpid()
+
+    return work
 
 
 @pytest.fixture
@@ -67,21 +77,15 @@ class TestTracePropagation:
     def test_worker_spans_join_the_parent_trace(self, tmp_path,
                                                 clean_telemetry):
         run = str(tmp_path / "run.jsonl")
-        pool = WorkerPool(2, traced_work, name="repro-trace-test")
-        pool.start()
-        try:
-            with tel.capture(jsonl=run):
-                with tel.span("epoch", emit=True) as epoch:
-                    for worker_id in range(2):
-                        pool.send(worker_id, "step")
-                    replies = [pool.recv(w, timeout=30) for w in range(2)]
-                    parent_ids = {epoch.span_id}
-                    trace_id = epoch._resolve_trace_id()
-        finally:
-            pool.shutdown()
+        work = _traced_work(multiprocessing.get_context("fork").Barrier(2))
+        with tel.capture(jsonl=run):
+            with tel.span("epoch", emit=True) as epoch:
+                worker_pids = set(parallel_map(work, [0, 1], num_workers=2))
+                parent_ids = {epoch.span_id}
+                trace_id = epoch._resolve_trace_id()
 
-        worker_pids = {pid for pid, _msg in replies}
         assert len(worker_pids) == 2  # two distinct child processes
+        assert os.getpid() not in worker_pids
 
         spool = f"{run}.spool"
         records = _spool_records(spool)
@@ -100,55 +104,29 @@ class TestTracePropagation:
 
     def test_untraced_send_has_no_envelope_overhead(self, tmp_path,
                                                     clean_telemetry):
-        """Telemetry off: workers see the raw payload, no spool appears."""
-        seen = []
-
-        def echo(worker_id, message):
-            return message
-
-        pool = WorkerPool(1, echo)
-        pool.start()
+        """Telemetry off: workers attach no spool, even with one armed."""
+        spool = str(tmp_path / "spool")
+        previous = teltrace.set_spool_dir(spool)
         try:
-            pool.send(0, ("plain", "tuple"))
-            assert pool.recv(0) == ("plain", "tuple")
+            work = _traced_work(
+                multiprocessing.get_context("fork").Barrier(2)
+            )
+            parallel_map(work, [0, 1], num_workers=2)
         finally:
-            pool.shutdown()
-        assert not os.listdir(str(tmp_path))
-
-    def test_traced_payloads_shaped_like_envelopes_pass_through(
-        self, tmp_path, clean_telemetry
-    ):
-        """A 4-tuple user payload must not be eaten by envelope unwrap."""
-        payload = ("a", "b", "c", "d")
-
-        def echo(worker_id, message):
-            return message
-
-        run = str(tmp_path / "run.jsonl")
-        pool = WorkerPool(1, echo)
-        pool.start()
-        try:
-            with tel.capture(jsonl=run):
-                with tel.span("root", emit=True):
-                    pool.send(0, payload)
-                    assert pool.recv(0, timeout=30) == payload
-        finally:
-            pool.shutdown()
+            teltrace.set_spool_dir(previous)
+        assert not os.path.exists(spool)
 
     def test_untraced_send_still_reaches_the_spool(self, tmp_path,
                                                    clean_telemetry):
-        """Telemetry on but no open span: the worker still spools."""
+        """Telemetry on but no open span: the workers still spool."""
         run = str(tmp_path / "run.jsonl")
-        pool = WorkerPool(1, traced_work)
-        pool.start()
-        try:
-            with tel.capture(jsonl=run):
-                pool.send(0, "step")
-                pool.recv(0, timeout=30)
-        finally:
-            pool.shutdown()
+        work = _traced_work(multiprocessing.get_context("fork").Barrier(2))
+        with tel.capture(jsonl=run):
+            parallel_map(work, [0, 1], num_workers=2)
         records = _spool_records(f"{run}.spool")
-        assert [r["name"] for r in records] == ["work"]
+        assert [r["name"] for r in records] == ["work", "work"]
+        # Each worker's span roots its own trace.
+        assert all(r["parent_id"] is None for r in records)
 
     def test_figure1_grid_workers_record_every_epoch(self, tmp_path,
                                                      clean_telemetry):
