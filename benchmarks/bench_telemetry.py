@@ -200,8 +200,12 @@ def test_profiler_overhead(loader):
     Unlike the disabled-telemetry estimate, this really is measurable
     A/B — the sampler is a separate thread and its cost (GIL grabs
     during ``sys._current_frames``) shows up directly in the epoch wall
-    clock.  Also asserts the profile itself is usable: non-empty
-    collapsed stacks that caught the training loop in the act.
+    clock.  The artefact also reports the sampler's own work
+    (``SamplingProfiler.sample_seconds``) per sample and as a share of
+    the profiled rounds: an over-gate run whose share is well below its
+    A/B overhead paid for scheduling, not for the frame walk.  Also
+    asserts the profile itself is usable: non-empty collapsed stacks
+    that caught the training loop in the act.
     """
     from repro.telemetry.profiler import SamplingProfiler
 
@@ -219,6 +223,8 @@ def test_profiler_overhead(loader):
     t_profiled = min(profiled_times)
 
     overhead = t_profiled / t_bare - 1.0
+    sample_ms = profiler.sample_seconds / max(profiler.samples, 1) * 1000
+    sample_share = profiler.sample_seconds / sum(profiled_times)
     collapsed = profiler.collapsed()
     lines = [
         "sampling profiler overhead: epochwise-adv MLP epoch, digits",
@@ -226,6 +232,8 @@ def test_profiler_overhead(loader):
         f"epoch (bare):      {t_bare / epochs * 1000:8.2f} ms",
         f"epoch (profiled):  {t_profiled / epochs * 1000:8.2f} ms "
         f"({overhead:+.2%}, gate < 5%)",
+        f"sampler work:      {sample_ms:8.3f} ms/sample "
+        f"({sample_share:.2%} of the profiled rounds)",
         f"samples: {profiler.samples}  distinct stacks: "
         f"{len(profiler.stacks)}  rate: {profiler.hz} Hz",
     ]

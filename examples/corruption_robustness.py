@@ -34,8 +34,7 @@ def main() -> None:
     for name in ("vanilla", "proposed"):
         print(f"training {name} ...")
         model = mnist_mlp(seed=0)
-        kwargs = {} if name == "vanilla" else {"warmup_epochs": 5}
-        build_trainer(name, model, epsilon=0.25, **kwargs).fit(
+        build_trainer(name, model, epsilon=0.25, warmup_epochs=5).fit(
             loader, epochs=args.epochs
         )
         models[name] = model

@@ -38,8 +38,7 @@ def main() -> None:
     for name in ("vanilla", "proposed"):
         print(f"training {name} ...")
         model = mnist_mlp(seed=0)
-        kwargs = {} if name == "vanilla" else {"warmup_epochs": 5}
-        build_trainer(name, model, epsilon=eps, **kwargs).fit(
+        build_trainer(name, model, epsilon=eps, warmup_epochs=5).fit(
             loader, epochs=args.epochs
         )
         models[name] = model

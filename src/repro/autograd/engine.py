@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..runtime import accum_dtype, compute_dtype, get_workspace
+from ..runtime import compute_dtype, get_workspace
 
 __all__ = [
     "Tensor",
@@ -286,9 +286,9 @@ class Tensor:
             node_owned = id(node_grad) in owned
             owned.discard(id(node_grad))
             if node.requires_grad and node._ctx is None:
-                # Leaf: accumulate into .grad in the policy's accum dtype.
+                # Leaf: accumulate into .grad in the policy's compute dtype.
                 if node.grad is None:
-                    acc = accum_dtype()
+                    acc = compute_dtype()
                     if node_owned and node_grad.dtype == acc:
                         # Donate the engine-owned buffer instead of copying.
                         node.grad = node_grad

@@ -28,7 +28,7 @@ __all__ = ["numerical_gradient", "check_gradients"]
 def _check_policy() -> Policy:
     """The pinned-precision policy used for the duration of a check."""
     dtype = active_policy().grad_check_dtype
-    return Policy(compute_dtype=dtype, accum_dtype=dtype, grad_check_dtype=dtype)
+    return Policy(compute_dtype=dtype, grad_check_dtype=dtype)
 
 
 def numerical_gradient(

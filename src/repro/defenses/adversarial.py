@@ -32,20 +32,20 @@ __all__ = ["MixedAdversarialTrainer", "FgsmAdvTrainer", "IterAdvTrainer"]
 class MixedAdversarialTrainer(Trainer):
     """Shared machinery: loss = alpha * clean + (1 - alpha) * adversarial.
 
-    Subclasses provide the attack used to craft the adversarial half via
-    :meth:`make_attack` or by overriding :meth:`adversarial_batch`; callers
-    can instead pass any attack-registry spec string (``attack_spec``) and
-    train against that attack directly.
+    Subclasses provide the adversarial half: through :meth:`make_attack`
+    (an attack regenerated from the clean batch every step) or by
+    overriding :meth:`adversarial_batch` (the proposed method carries its
+    iterate across epochs instead).  Warmup comes from
+    :class:`~repro.defenses.trainer.Trainer`.
 
     Parameters
     ----------
     clean_weight:
         Mixture weight ``alpha`` on the clean loss (paper setups use 0.5:
         "a mixture of original and ... examples").
-    attack_spec:
-        Optional ``name:param=value`` spec resolved through the canonical
-        attack registry (:func:`repro.attacks.build_attack`); the trainer's
-        ``epsilon`` attribute (when set by a subclass) supplies the budget.
+    warmup_epochs:
+        Clean epochs before the mixture takes over (see
+        :class:`~repro.defenses.trainer.Trainer`).
     """
 
     def __init__(
@@ -56,39 +56,17 @@ class MixedAdversarialTrainer(Trainer):
         scheduler=None,
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
-        attack_spec: Optional[str] = None,
     ) -> None:
-        super().__init__(model, optimizer, loss_fn=loss_fn, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            warmup_epochs=warmup_epochs,
+        )
         check_in_unit_interval("clean_weight", clean_weight)
-        if warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {warmup_epochs}"
-            )
         self.clean_weight = clean_weight
-        self.warmup_epochs = int(warmup_epochs)
-        self.attack_spec = attack_spec
         self.attack: Optional[Attack] = None
-
-    @property
-    def in_warmup(self) -> bool:
-        """True while the trainer is still in its clean warmup phase."""
-        return self.epoch < self.warmup_epochs
 
     def make_attack(self) -> Attack:
         """Build the training attack bound to the current model."""
-        if self.attack_spec is not None:
-            attack = build_attack(
-                self.attack_spec,
-                self.model,
-                epsilon=getattr(self, "epsilon", None),
-                loss_fn=self.loss_fn,
-            )
-            if attack is None:
-                raise ValueError(
-                    "adversarial training needs a real attack; got clean "
-                    f"spec {self.attack_spec!r}"
-                )
-            return attack
         raise NotImplementedError
 
     def _ensure_attack(self) -> Attack:
@@ -104,8 +82,6 @@ class MixedAdversarialTrainer(Trainer):
 
     def compute_batch_loss(self, batch: Batch) -> Tensor:
         """Loss for one batch (see class docstring for the objective)."""
-        if self.in_warmup:
-            return self.loss_fn(self.model(Tensor(batch.x)), batch.y)
         x_adv = self.adversarial_batch(batch)
         clean_loss = self.loss_fn(self.model(Tensor(batch.x)), batch.y)
         adv_loss = self.loss_fn(self.model(Tensor(x_adv)), batch.y)
@@ -124,8 +100,6 @@ class FgsmAdvTrainer(MixedAdversarialTrainer):
 
     def make_attack(self) -> Attack:
         """Build the training attack bound to the current model."""
-        if self.attack_spec is not None:
-            return super().make_attack()
         return build_attack(
             "fgsm", self.model, epsilon=self.epsilon, loss_fn=self.loss_fn
         )
@@ -162,8 +136,6 @@ class IterAdvTrainer(MixedAdversarialTrainer):
 
     def make_attack(self) -> Attack:
         """Build the training attack bound to the current model."""
-        if self.attack_spec is not None:
-            return super().make_attack()
         return build_attack(
             "bim",
             self.model,

@@ -54,8 +54,8 @@ class AtdaTrainer(Trainer):
         Margin of the supervised centre loss.
     center_momentum:
         EMA momentum of the class centres.
-    embedding_dim:
-        Dimension of ``model.embed`` outputs; inferred lazily when omitted.
+    clean_weight, warmup_epochs:
+        As in :class:`~repro.defenses.adversarial.MixedAdversarialTrainer`.
     """
 
     name = "atda"
@@ -71,11 +71,13 @@ class AtdaTrainer(Trainer):
         center_momentum: float = 0.9,
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
-        embedding_dim: Optional[int] = None,
         loss_fn: Callable = cross_entropy,
         scheduler=None,
     ) -> None:
-        super().__init__(model, optimizer, loss_fn=loss_fn, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            warmup_epochs=warmup_epochs,
+        )
         if not hasattr(model, "embed"):
             raise TypeError(
                 "AtdaTrainer requires a model exposing .embed() "
@@ -88,13 +90,7 @@ class AtdaTrainer(Trainer):
         self.lambda_sda = float(lambda_sda)
         self.margin = float(margin)
         self.center_momentum = float(center_momentum)
-        if warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {warmup_epochs}"
-            )
         self.clean_weight = clean_weight
-        self.warmup_epochs = int(warmup_epochs)
-        self._embedding_dim = embedding_dim
         self._centers: Optional[ClassCenters] = None
         self._attack = FGSM(self.model, self.epsilon, loss_fn=self.loss_fn)
 
@@ -117,15 +113,8 @@ class AtdaTrainer(Trainer):
         return self._centers
 
     # ------------------------------------------------------------------
-    @property
-    def in_warmup(self) -> bool:
-        """True while the trainer is still in its clean warmup phase."""
-        return self.epoch < self.warmup_epochs
-
     def compute_batch_loss(self, batch: Batch) -> Tensor:
         """Classification + UDA + SDA loss for one batch."""
-        if self.in_warmup:
-            return self.loss_fn(self.model(Tensor(batch.x)), batch.y)
         with tel.span("attack"):
             x_adv = self._attack.generate(batch.x, batch.y)
 

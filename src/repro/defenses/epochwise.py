@@ -23,7 +23,6 @@ below BIM(k)-Adv's ``k`` — which yields Table I's timing column.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,49 +35,29 @@ from ..attacks import (
     LinfBoxProjection,
     SignStep,
 )
-from ..autograd import Tensor
 from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
 from ..runtime import ensure_float_array
-from ..utils.validation import check_in_unit_interval, check_positive
+from ..utils.validation import check_positive
+from .adversarial import MixedAdversarialTrainer
 from .delta import DEFAULT_BLOCK_SIZE, DeltaStore
-from .trainer import Trainer
 
 __all__ = ["EpochwiseAdvTrainer"]
 
 
-class _DeltaView(Mapping):
-    """Read-only dict-like view over the carried perturbations.
-
-    The trainer stores carried state in a blocked
-    :class:`~repro.defenses.delta.DeltaStore` (perturbations, not
-    examples); this view preserves the historical ``trainer._cache``
-    mapping interface for tests and diagnostics — keys are dataset
-    indices, values are the carried **delta** rows (``x_adv - x_clean``).
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: DeltaStore):
-        self._store = store
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self._store.delta(index)
-
-    def __iter__(self):
-        return self._store.indices()
-
-    def __len__(self) -> int:
-        return self._store.count
-
-
-class EpochwiseAdvTrainer(Trainer):
+class EpochwiseAdvTrainer(MixedAdversarialTrainer):
     """Proposed Single-Adv method (Liu et al., 2019).
+
+    The clean/adversarial mixture and the warmup are
+    :class:`~repro.defenses.adversarial.MixedAdversarialTrainer`'s; this
+    class only changes how each batch's adversarial half is made
+    (:meth:`adversarial_batch`) and when the carried state is reset
+    (:meth:`on_epoch_start`).
 
     Parameters
     ----------
-    model, optimizer, loss_fn, scheduler:
+    model, optimizer, loss_fn, scheduler, warmup_epochs:
         As in :class:`~repro.defenses.trainer.Trainer`.
     epsilon:
         Total l_inf budget; cached perturbations are always projected into
@@ -120,25 +99,21 @@ class EpochwiseAdvTrainer(Trainer):
         delta_block_size: int = DEFAULT_BLOCK_SIZE,
         delta_budget_bytes: Optional[int] = None,
     ) -> None:
-        super().__init__(model, optimizer, loss_fn=loss_fn, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            clean_weight=clean_weight, warmup_epochs=warmup_epochs,
+        )
         check_positive("epsilon", epsilon)
         if reset_interval < 0:
             raise ValueError(
                 f"reset_interval must be non-negative, got {reset_interval}"
             )
-        if warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {warmup_epochs}"
-            )
-        check_in_unit_interval("clean_weight", clean_weight)
-        self.warmup_epochs = int(warmup_epochs)
         self.epsilon = float(epsilon)
         self.step_size = (
             float(step_size) if step_size is not None else self.epsilon
         )
         check_positive("step_size", self.step_size)
         self.reset_interval = int(reset_interval)
-        self.clean_weight = clean_weight
         # dataset index -> carried perturbation (delta, not the absolute
         # adversarial example), held in budget-bounded blocks; the clean
         # example is re-supplied by the data pipeline every epoch, so the
@@ -164,11 +139,6 @@ class EpochwiseAdvTrainer(Trainer):
 
     # ------------------------------------------------------------------
     @property
-    def _cache(self) -> _DeltaView:
-        """Mapping view of the store (dataset index -> carried delta)."""
-        return _DeltaView(self._delta)
-
-    @property
     def delta_store(self) -> DeltaStore:
         """The carried-perturbation store (diagnostics, benchmarks)."""
         return self._delta
@@ -181,16 +151,6 @@ class EpochwiseAdvTrainer(Trainer):
     def cache_size(self) -> int:
         """Number of examples with a carried perturbation."""
         return self._delta.count
-
-    @property
-    def cache_bytes(self) -> int:
-        """Resident bytes of the carried-perturbation store."""
-        return self._delta.nbytes
-
-    @property
-    def in_warmup(self) -> bool:
-        """True while the trainer is still in its clean warmup phase."""
-        return self.epoch < self.warmup_epochs
 
     def on_epoch_start(self, epoch: int) -> None:
         """Reset the cache every ``reset_interval`` adversarial epochs."""
@@ -229,13 +189,3 @@ class EpochwiseAdvTrainer(Trainer):
                     "epochwise.cache_evictions", self._delta.evictions
                 )
             return x_adv
-
-    def compute_batch_loss(self, batch: Batch) -> Tensor:
-        """Mixture of clean loss and cached-adversarial loss."""
-        if self.in_warmup:
-            return self.loss_fn(self.model(Tensor(batch.x)), batch.y)
-        x_adv = self.adversarial_batch(batch)
-        clean_loss = self.loss_fn(self.model(Tensor(batch.x)), batch.y)
-        adv_loss = self.loss_fn(self.model(Tensor(x_adv)), batch.y)
-        alpha = self.clean_weight
-        return clean_loss * alpha + adv_loss * (1.0 - alpha)

@@ -18,7 +18,7 @@ over BIM(m)-Adv (which pays m attack passes *plus* the training pass).
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class FreeAdvTrainer(Trainer):
         Perturbation update step; defaults to ``epsilon`` (the original
         paper uses the full budget per update).
     warmup_epochs:
-        Clean epochs (no replays, no perturbation) before free training.
+        Clean epochs (no replays, no perturbation) before free training
+        (see :class:`~repro.defenses.trainer.Trainer`).
     """
 
     name = "free_adv"
@@ -65,21 +66,19 @@ class FreeAdvTrainer(Trainer):
         loss_fn: Callable = cross_entropy,
         scheduler=None,
     ) -> None:
-        super().__init__(model, optimizer, loss_fn=loss_fn, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            warmup_epochs=warmup_epochs,
+        )
         check_positive("epsilon", epsilon)
         if replays <= 0:
             raise ValueError(f"replays must be positive, got {replays}")
-        if warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {warmup_epochs}"
-            )
         self.epsilon = float(epsilon)
         self.replays = int(replays)
         self.step_size = (
             float(step_size) if step_size is not None else self.epsilon
         )
         check_positive("step_size", self.step_size)
-        self.warmup_epochs = int(warmup_epochs)
         # The ascent direction is the engine's sign rule; the loop driver
         # itself cannot apply here because free training shares ONE
         # backward pass between the parameter update and the perturbation
@@ -87,11 +86,6 @@ class FreeAdvTrainer(Trainer):
         self._ascent = SignStep(self.step_size)
         # dataset index -> persistent perturbation (delta), not the example.
         self._delta: Dict[int, np.ndarray] = {}
-
-    @property
-    def in_warmup(self) -> bool:
-        """True while the trainer is still in its clean warmup phase."""
-        return self.epoch < self.warmup_epochs
 
     # ------------------------------------------------------------------
     def _batch_delta(self, batch: Batch) -> np.ndarray:
@@ -115,42 +109,28 @@ class FreeAdvTrainer(Trainer):
         return len(self._delta)
 
     # ------------------------------------------------------------------
-    def train_epoch(self, loader) -> float:
-        """Free training needs custom inner-loop control (m replays with a
-        shared backward pass), so it overrides the epoch loop wholesale."""
-        if self.in_warmup:
-            return super().train_epoch(loader)
-        self.model.train()
-        self.on_epoch_start(self.epoch)
+    def train_step(self, batch: Batch) -> List[float]:
+        """``m`` replays of the batch, each with one backward pass shared
+        by the parameter update and the perturbation update."""
+        delta = self._batch_delta(batch)
+        x_clean = ensure_float_array(batch.x)
         losses = []
-        iterator = iter(loader)
-        while True:
-            with tel.span("data"):
-                batch = next(iterator, None)
-            if batch is None:
-                break
-            delta = self._batch_delta(batch)
-            x_clean = ensure_float_array(batch.x)
-            for _replay in range(self.replays):
-                x_adv = clip_to_box(x_clean + delta)
-                x_tensor = Tensor(x_adv, requires_grad=True)
-                self.optimizer.zero_grad()
-                with tel.span("forward"):
-                    loss = self.loss_fn(self.model(x_tensor), batch.y)
-                with tel.span("backward"):
-                    loss.backward()
-                # One backward, two uses: model update ...
-                with tel.span("optimizer"):
-                    self.optimizer.step()
-                # ... and perturbation ascent (the engine's sign rule,
-                # clamped to the budget in delta space).
-                with tel.span("attack"):
-                    delta = delta + self._ascent(x_tensor.grad, None)
-                    np.clip(delta, -self.epsilon, self.epsilon, out=delta)
-                losses.append(loss.item())
-            self._store_delta(batch, delta)
-        self.on_epoch_end(self.epoch)
-        self.epoch += 1
-        if self.scheduler is not None:
-            self.scheduler.step()
-        return float(np.mean(losses)) if losses else 0.0
+        for _replay in range(self.replays):
+            x_adv = clip_to_box(x_clean + delta)
+            x_tensor = Tensor(x_adv, requires_grad=True)
+            self.optimizer.zero_grad()
+            with tel.span("forward"):
+                loss = self.loss_fn(self.model(x_tensor), batch.y)
+            with tel.span("backward"):
+                loss.backward()
+            # One backward, two uses: model update ...
+            with tel.span("optimizer"):
+                self.optimizer.step()
+            # ... and perturbation ascent (the engine's sign rule,
+            # clamped to the budget in delta space).
+            with tel.span("attack"):
+                delta = delta + self._ascent(x_tensor.grad, None)
+                np.clip(delta, -self.epsilon, self.epsilon, out=delta)
+            losses.append(loss.item())
+        self._store_delta(batch, delta)
+        return losses

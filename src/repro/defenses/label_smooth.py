@@ -27,6 +27,9 @@ class LabelSmoothingTrainer(Trainer):
     ----------
     smoothing:
         Mass moved from the true class to the uniform distribution.
+    warmup_epochs:
+        Clean epochs on the unsmoothed loss first (see
+        :class:`~repro.defenses.trainer.Trainer`).
     """
 
     name = "label_smooth"
@@ -37,8 +40,11 @@ class LabelSmoothingTrainer(Trainer):
         optimizer: Optimizer,
         smoothing: float = 0.1,
         scheduler=None,
+        warmup_epochs: int = 0,
     ) -> None:
-        super().__init__(model, optimizer, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, scheduler=scheduler, warmup_epochs=warmup_epochs
+        )
         check_in_unit_interval("smoothing", smoothing)
         self.smoothing = float(smoothing)
 

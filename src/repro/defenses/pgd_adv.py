@@ -9,8 +9,6 @@ variants.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..attacks import Attack, build_attack
 from ..utils.rng import RngLike
 from .adversarial import IterAdvTrainer
@@ -24,29 +22,13 @@ class PgdAdvTrainer(IterAdvTrainer):
     name = "pgd_adv"
 
     def __init__(
-        self,
-        model,
-        optimizer,
-        epsilon: float,
-        num_steps: int = 10,
-        step_size: Optional[float] = None,
-        rng: RngLike = None,
-        **kwargs,
+        self, model, optimizer, epsilon: float, rng: RngLike = None, **kwargs
     ) -> None:
-        super().__init__(
-            model,
-            optimizer,
-            epsilon,
-            num_steps=num_steps,
-            step_size=step_size,
-            **kwargs,
-        )
+        super().__init__(model, optimizer, epsilon, **kwargs)
         self._rng = rng
 
     def make_attack(self) -> Attack:
         """Build the PGD training attack bound to the current model."""
-        if self.attack_spec is not None:
-            return super().make_attack()
         return build_attack(
             "pgd",
             self.model,

@@ -61,7 +61,8 @@ class TradesTrainer(Trainer):
         Inner step size; defaults to ``epsilon / num_steps * 2`` so the
         iterate can traverse the ball.
     warmup_epochs:
-        Clean epochs before the TRADES objective kicks in.
+        Clean epochs before the TRADES objective kicks in (see
+        :class:`~repro.defenses.trainer.Trainer`).
     """
 
     name = "trades"
@@ -78,15 +79,14 @@ class TradesTrainer(Trainer):
         loss_fn: Callable = cross_entropy,
         scheduler=None,
     ) -> None:
-        super().__init__(model, optimizer, loss_fn=loss_fn, scheduler=scheduler)
+        super().__init__(
+            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            warmup_epochs=warmup_epochs,
+        )
         check_positive("epsilon", epsilon)
         check_positive("beta", beta)
         if num_steps <= 0:
             raise ValueError(f"num_steps must be positive, got {num_steps}")
-        if warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {warmup_epochs}"
-            )
         self.epsilon = float(epsilon)
         self.beta = float(beta)
         self.num_steps = int(num_steps)
@@ -96,12 +96,6 @@ class TradesTrainer(Trainer):
             else 2.0 * self.epsilon / self.num_steps
         )
         check_positive("step_size", self.step_size)
-        self.warmup_epochs = int(warmup_epochs)
-
-    @property
-    def in_warmup(self) -> bool:
-        """True while the trainer is still in its clean warmup phase."""
-        return self.epoch < self.warmup_epochs
 
     # ------------------------------------------------------------------
     def _maximise_kl(self, x: np.ndarray, clean_logits: np.ndarray):
@@ -133,8 +127,6 @@ class TradesTrainer(Trainer):
         """Natural CE plus beta-weighted KL consistency term."""
         clean_logits = self.model(Tensor(batch.x))
         natural = self.loss_fn(clean_logits, batch.y)
-        if self.in_warmup:
-            return natural
         with tel.span("attack"):
             x_adv = self._maximise_kl(batch.x, clean_logits.data)
         adv_logits = self.model(Tensor(x_adv))

@@ -1,8 +1,10 @@
 """Vanilla training loop — the base every defense builds on.
 
 The trainer owns the epoch loop, per-epoch wall-clock timing (the paper's
-efficiency metric), optional evaluation hooks, and a ``compute_batch_loss``
-extension point which the adversarial-training subclasses override.
+efficiency metric), optional evaluation hooks and the clean warmup.  Its
+extension points are ``compute_batch_loss`` (the adversarial-training
+subclasses override it) and ``train_step`` (the whole per-batch update, which
+only free adversarial training replaces).
 
 Control-flow note (Figure 3a reproduction): for Iter-Adv subclasses the
 expensive inner interaction between the example generator and the classifier
@@ -14,6 +16,7 @@ loop with a single step plus a cross-epoch cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -24,8 +27,7 @@ from ..data.loader import Batch, DataLoader
 from ..nn import Module, cross_entropy
 from ..optim import LRScheduler, Optimizer
 from ..runtime.workspace import get_workspace
-from ..telemetry import ConsoleEvents
-from ..utils.timing import EpochTimer
+from ..telemetry import ConsoleEvents, Stopwatch
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -75,6 +77,10 @@ class Trainer:
         Classification loss; defaults to softmax cross-entropy.
     scheduler:
         Optional LR scheduler stepped after every epoch.
+    warmup_epochs:
+        Clean epochs before a defense's own step takes over: while
+        :attr:`in_warmup`, every trainer runs the vanilla step on
+        :meth:`Trainer.compute_batch_loss`, whatever it overrides.
     """
 
     name = "vanilla"
@@ -85,19 +91,30 @@ class Trainer:
         optimizer: Optimizer,
         loss_fn: Callable = cross_entropy,
         scheduler: Optional[LRScheduler] = None,
+        warmup_epochs: int = 0,
     ) -> None:
+        if warmup_epochs < 0:
+            raise ValueError(
+                f"warmup_epochs must be non-negative, got {warmup_epochs}"
+            )
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
         self.scheduler = scheduler
+        self.warmup_epochs = int(warmup_epochs)
         self.epoch = 0
-        self.timer = EpochTimer()
+
+    @property
+    def in_warmup(self) -> bool:
+        """True while the trainer is still in its clean warmup phase."""
+        return self.epoch < self.warmup_epochs
 
     # ------------------------------------------------------------------
     # extension points
     # ------------------------------------------------------------------
     def compute_batch_loss(self, batch: Batch) -> Tensor:
-        """Loss for one batch.  Subclasses add adversarial terms here."""
+        """Clean loss for one batch.  Subclasses add adversarial terms
+        here; warmup epochs always use this clean loss."""
         logits = self.model(Tensor(batch.x))
         return self.loss_fn(logits, batch.y)
 
@@ -110,17 +127,42 @@ class Trainer:
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-    def train_epoch(self, loader: DataLoader) -> float:
-        """One pass over the loader; returns the mean batch loss.
+    def train_step(self, batch: Batch) -> List[float]:
+        """Update the model on one batch; returns one loss per optimizer
+        step.
 
-        Each batch is traced through telemetry phase spans — ``data``
-        (loader fetch), ``forward`` (loss computation; adversarial
-        generation nests inside it as ``attack``), ``backward`` and
-        ``optimizer`` — which aggregate into the surrounding ``epoch``
-        span opened by :meth:`fit`.
+        The step is traced through telemetry phase spans — ``forward``
+        (loss computation; adversarial generation nests inside it as
+        ``attack``), ``backward`` and ``optimizer``.
+        """
+        self.optimizer.zero_grad()
+        with tel.span("forward"):
+            if self.in_warmup:
+                loss = Trainer.compute_batch_loss(self, batch)
+            else:
+                loss = self.compute_batch_loss(batch)
+        with tel.span("backward"):
+            loss.backward()
+        with tel.span("optimizer"):
+            self.optimizer.step()
+        return [loss.item()]
+
+    def train_epoch(self, loader: DataLoader) -> float:
+        """One pass over the loader; returns the mean loss over optimizer
+        steps.
+
+        Each loader fetch is traced as a ``data`` span next to the
+        :meth:`train_step` phases; all of them aggregate into the
+        surrounding ``epoch`` span opened by :meth:`fit`.
         """
         self.model.train()
         self.on_epoch_start(self.epoch)
+        # Warmup epochs take the vanilla step whatever a subclass overrides.
+        step = (
+            partial(Trainer.train_step, self)
+            if self.in_warmup
+            else self.train_step
+        )
         losses = []
         iterator = iter(loader)
         while True:
@@ -128,14 +170,7 @@ class Trainer:
                 batch = next(iterator, None)
             if batch is None:
                 break
-            self.optimizer.zero_grad()
-            with tel.span("forward"):
-                loss = self.compute_batch_loss(batch)
-            with tel.span("backward"):
-                loss.backward()
-            with tel.span("optimizer"):
-                self.optimizer.step()
-            losses.append(loss.item())
+            losses.extend(step(batch))
         self.on_epoch_end(self.epoch)
         self.epoch += 1
         if self.scheduler is not None:
@@ -203,16 +238,17 @@ class Trainer:
         # Step-parameterised trainers report their paper-style row name
         # (bim10_adv, not iter_adv) so run records keep the rows distinct.
         trainer_name = getattr(self, "name_with_steps", self.name)
+        watch = Stopwatch()
         for local_epoch in range(epochs):
             epoch_index = self.epoch
-            # The epoch span wraps exactly the EpochTimer region, so the
+            # The epoch span wraps exactly the stopwatch region, so the
             # telemetry run record reproduces Table I's time-per-epoch.
             with tel.span(
                 "epoch", emit=True, trainer=trainer_name, epoch=epoch_index
             ) as epoch_span:
-                self.timer.begin_epoch()
+                watch.start()
                 mean_loss = self.train_epoch(loader)
-                elapsed = self.timer.end_epoch()
+                elapsed = watch.stop()
                 epoch_span.note(loss=mean_loss)
             if tel.enabled():
                 for name, value in get_workspace().telemetry_gauges().items():

@@ -83,11 +83,6 @@ class ClassifierPool:
     def _make_model(self) -> FeatureClassifier:
         return build_model(self.config.model, seed=self.config.seed)
 
-    def _trainer_kwargs(self, name: str) -> dict:
-        if name == "vanilla":
-            return {}
-        return {"warmup_epochs": self.config.warmup_epochs}
-
     # ------------------------------------------------------------------
     def get(self, name: str, **trainer_overrides) -> TrainedDefense:
         """Return the trained defense ``name``, training it on first use.
@@ -99,7 +94,7 @@ class ClassifierPool:
             return self._cache[name]
         with self.config.precision_scope():
             model = self._make_model()
-            kwargs = self._trainer_kwargs(name)
+            kwargs = {"warmup_epochs": self.config.warmup_epochs}
             kwargs.update(trainer_overrides)
             trainer = build_trainer(
                 name,

@@ -57,8 +57,9 @@ class Optimizer:
     def _assign(param, new_data) -> None:
         """Write an update back without changing the parameter's dtype.
 
-        Gradients may accumulate in a wider dtype than the parameters
-        (``Policy.accum_dtype``); the cast here stops that width from
-        leaking into the weights.
+        Leaf gradients accumulate in the policy's compute dtype, but a
+        mixed-dtype graph (e.g. a float64 input fed to float32 weights)
+        can still produce a wider gradient or update; the cast here stops
+        that width from leaking into the weights.
         """
         param.data = np.asarray(new_data).astype(param.data.dtype, copy=False)

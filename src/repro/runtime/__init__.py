@@ -20,7 +20,6 @@ buffers through.
 from .policy import (
     Policy,
     PolicyLike,
-    accum_dtype,
     active_policy,
     compute_dtype,
     ensure_float_array,
@@ -45,7 +44,6 @@ __all__ = [
     "resolve_policy",
     "precision",
     "compute_dtype",
-    "accum_dtype",
     "grad_check_dtype",
     "ensure_float_array",
     "Workspace",

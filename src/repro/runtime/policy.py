@@ -1,8 +1,8 @@
 """Runtime precision policy: the single source of truth for dtypes.
 
-Every numeric decision in the stack — what dtype tensors are created in,
-what dtype gradients accumulate in, and what dtype numerical gradient
-checking is pinned to — is resolved against the *active* :class:`Policy`.
+Every numeric decision in the stack — what dtype tensors are created in
+and gradients accumulate in, and what dtype numerical gradient checking
+is pinned to — is resolved against the *active* :class:`Policy`.
 Nothing else in the package hardcodes ``np.float64``/``np.float32``.
 
 The active policy is resolved in two layers:
@@ -24,15 +24,12 @@ Typical use::
 Design notes
 ------------
 ``compute_dtype``
-    Dtype of freshly created tensors/parameters/datasets and of all
-    forward/backward arithmetic.  Operations never recast floating inputs:
-    they compute in whatever floating dtype their operands carry, so a
-    float64 region (e.g. gradient checking) stays float64 even while a
-    float32 policy is active.
-``accum_dtype``
-    Dtype leaf gradients are accumulated in.  Defaults to the compute
-    dtype; widening it (e.g. float32 compute with float64 accumulation)
-    trades memory for summation accuracy.
+    Dtype of freshly created tensors/parameters/datasets, of all
+    forward/backward arithmetic and of leaf-gradient accumulation.
+    Operations never recast floating inputs: they compute in whatever
+    floating dtype their operands carry, so a float64 region (e.g.
+    gradient checking) stays float64 even while a float32 policy is
+    active.
 ``grad_check_dtype``
     Dtype :mod:`repro.autograd.grad_check` pins itself to, *regardless* of
     the active compute dtype.  Central finite differences with ``eps ~ 1e-6``
@@ -46,7 +43,7 @@ import contextlib
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -58,7 +55,6 @@ __all__ = [
     "set_default_policy",
     "precision",
     "compute_dtype",
-    "accum_dtype",
     "grad_check_dtype",
     "ensure_float_array",
 ]
@@ -95,25 +91,19 @@ class Policy:
     Parameters
     ----------
     compute_dtype:
-        Dtype for tensor/parameter/dataset creation and arithmetic.
-    accum_dtype:
-        Dtype for leaf-gradient accumulation; defaults to ``compute_dtype``.
+        Dtype for tensor/parameter/dataset creation, arithmetic and
+        leaf-gradient accumulation.
     grad_check_dtype:
         Dtype gradient checking pins itself to; defaults to float64.
     """
 
     compute_dtype: np.dtype = field(default=np.dtype(np.float64))
-    accum_dtype: Optional[np.dtype] = None
     grad_check_dtype: np.dtype = field(default=np.dtype(np.float64))
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "compute_dtype", _as_float_dtype(self.compute_dtype)
         )
-        accum = (
-            self.compute_dtype if self.accum_dtype is None else self.accum_dtype
-        )
-        object.__setattr__(self, "accum_dtype", _as_float_dtype(accum))
         object.__setattr__(
             self, "grad_check_dtype", _as_float_dtype(self.grad_check_dtype)
         )
@@ -126,7 +116,6 @@ class Policy:
     def __repr__(self) -> str:
         return (
             f"Policy(compute={self.compute_dtype.name}, "
-            f"accum={self.accum_dtype.name}, "
             f"grad_check={self.grad_check_dtype.name})"
         )
 
@@ -217,11 +206,6 @@ def precision(policy: PolicyLike) -> Iterator[Policy]:
 def compute_dtype() -> np.dtype:
     """Active policy's compute dtype."""
     return active_policy().compute_dtype
-
-
-def accum_dtype() -> np.dtype:
-    """Active policy's gradient-accumulation dtype."""
-    return active_policy().accum_dtype
 
 
 def grad_check_dtype() -> np.dtype:

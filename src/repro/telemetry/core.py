@@ -67,7 +67,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Stopwatch: the timing primitive spans (and repro.utils.Timer) share.
+# Stopwatch: the timing primitive spans and Trainer.fit's epoch timing share.
 # ----------------------------------------------------------------------
 
 class Stopwatch:

@@ -70,6 +70,9 @@ class SamplingProfiler:
         self.max_depth = int(max_depth)
         self.stacks: Dict[Tuple[str, ...], int] = {}
         self.samples = 0
+        # perf_counter seconds spent inside _take_sample: the sampler's
+        # own work, as opposed to the wait between ticks.
+        self.sample_seconds = 0.0
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -102,7 +105,9 @@ class SamplingProfiler:
         interval = 1.0 / self.hz
         next_tick = time.perf_counter()
         while not self._stop.is_set():
+            began = time.perf_counter()
             self._take_sample(own_ident)
+            self.sample_seconds += time.perf_counter() - began
             next_tick += interval
             delay = next_tick - time.perf_counter()
             if delay <= 0:

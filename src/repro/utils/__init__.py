@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, timing, serialization, validation."""
+"""Shared utilities: RNG management, serialization, validation, LRU cache."""
 
 from .lru import LRUCache
 from .rng import ensure_rng, make_rng, spawn_rngs
@@ -9,7 +9,6 @@ from .serialization import (
     save_state_dict,
     to_jsonable,
 )
-from .timing import EpochTimer, Timer
 from .validation import (
     check_image_batch,
     check_in_unit_interval,
@@ -24,8 +23,6 @@ __all__ = [
     "ensure_rng",
     "make_rng",
     "spawn_rngs",
-    "Timer",
-    "EpochTimer",
     "save_state_dict",
     "load_state_dict",
     "save_json",

@@ -45,8 +45,6 @@ class TestDefaults:
         with pytest.raises(ValueError):
             make_trainer(step_size=0.0)
         with pytest.raises(ValueError):
-            make_trainer(warmup_epochs=-2)
-        with pytest.raises(ValueError):
             make_trainer(clean_weight=2.0)
 
 
@@ -107,7 +105,9 @@ class TestCacheMechanics:
             assert np.array_equal(
                 cached[row],
                 np.clip(
-                    flipped.x[row] + trainer._cache[int(index)], 0.0, 1.0
+                    flipped.x[row] + trainer.delta_store.delta(int(index)),
+                    0.0,
+                    1.0,
                 ),
             )
 

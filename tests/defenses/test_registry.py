@@ -126,32 +126,3 @@ class TestTrainingAttackSpecs:
         assert type(attack) is BIM
         assert attack.num_steps == 10
         assert attack.epsilon == 0.2
-
-    def test_mixed_trainer_accepts_spec_strings(self):
-        from repro.attacks import MIM
-        from repro.defenses import FgsmAdvTrainer
-
-        model = mnist_mlp(seed=0)
-        trainer = FgsmAdvTrainer(
-            model,
-            Adam(model.parameters(), lr=1e-3),
-            epsilon=0.2,
-            attack_spec="mim:num_steps=3",
-        )
-        attack = trainer.make_attack()
-        assert type(attack) is MIM
-        assert attack.num_steps == 3
-        assert attack.epsilon == 0.2
-
-    def test_clean_spec_rejected(self):
-        from repro.defenses import FgsmAdvTrainer
-
-        model = mnist_mlp(seed=0)
-        trainer = FgsmAdvTrainer(
-            model,
-            Adam(model.parameters(), lr=1e-3),
-            epsilon=0.2,
-            attack_spec="clean",
-        )
-        with pytest.raises(ValueError, match="real attack"):
-            trainer.make_attack()

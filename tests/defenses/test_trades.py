@@ -68,8 +68,6 @@ class TestTradesTrainer:
             make_trainer(beta=0.0)
         with pytest.raises(ValueError):
             make_trainer(num_steps=0)
-        with pytest.raises(ValueError):
-            make_trainer(warmup_epochs=-1)
 
     def test_default_step_size(self):
         assert make_trainer(num_steps=10).step_size == pytest.approx(0.04)
@@ -79,11 +77,10 @@ class TestTradesTrainer:
 
         trainer = make_trainer(warmup_epochs=2)
         batch = make_batch(digits_small)
-        loss = trainer.compute_batch_loss(batch).item()
         clean = cross_entropy(
             trainer.model(Tensor(batch.x)), batch.y
         ).item()
-        assert loss == pytest.approx(clean)
+        assert trainer.train_step(batch) == [pytest.approx(clean)]
 
     def test_loss_exceeds_natural_after_warmup(self, digits_small):
         from repro.nn import cross_entropy

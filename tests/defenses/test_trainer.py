@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data import DataLoader
-from repro.defenses import Trainer, TrainingHistory
+from repro.defenses import (
+    Trainer,
+    TrainingHistory,
+    build_trainer,
+    defense_names,
+)
 from repro.models import mnist_mlp
 from repro.optim import Adam, SGD, StepLR
 
@@ -86,6 +91,35 @@ class TestFit:
         trainer = Trainer(model, opt, scheduler=sched)
         trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=3)
         assert np.isclose(opt.lr, 0.125)
+
+
+def one_warmup_epoch(name, train):
+    """Mean loss and parameters after one epoch of ``name`` with
+    ``warmup_epochs=1`` (same seed and loader for every defense)."""
+    trainer = build_trainer(
+        name, mnist_mlp(seed=0), epsilon=0.2, lr=2e-3, warmup_epochs=1
+    )
+    history = trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=1)
+    return history.losses[0], [p.data for p in trainer.model.parameters()]
+
+
+class TestWarmup:
+    # defense_names() holds every Table I row (bim10_adv and bim30_adv
+    # included) and every extension.
+    @pytest.mark.parametrize("name", defense_names())
+    def test_warmup_epoch_is_a_vanilla_epoch(self, name, digits_small):
+        train, _ = digits_small
+        want_loss, want_params = one_warmup_epoch("vanilla", train)
+        loss, params = one_warmup_epoch(name, train)
+        assert loss == want_loss
+        assert len(params) == len(want_params)
+        for got, want in zip(params, want_params):
+            assert np.array_equal(got, want)
+
+    def test_negative_warmup_raises(self):
+        model = mnist_mlp(seed=0)
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            Trainer(model, Adam(model.parameters()), warmup_epochs=-1)
 
 
 class TestTrainingHistory:

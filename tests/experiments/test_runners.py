@@ -21,6 +21,7 @@ from repro.experiments import (
     run_table1,
     smoke_scale,
 )
+from repro.defenses import defense_names
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,14 @@ class TestClassifierPool:
     def test_history_records_timing(self, pool):
         defense = pool.get("vanilla")
         assert defense.time_per_epoch > 0.0
+
+    @pytest.mark.parametrize("name", defense_names())
+    def test_trains_every_defense(self, pool, name):
+        """The pool's shared trainer kwargs (``warmup_epochs``) suit every
+        registered defense, extensions included."""
+        history = pool.get(name).history
+        assert len(history.losses) == pool.config.epochs
+        assert np.all(np.isfinite(history.losses))
 
 
 class TestFigure1Runner:

@@ -41,20 +41,23 @@ class TestPolicy:
     def test_default_policy_matches_env(self):
         policy = get_default_policy()
         assert policy.compute_dtype == ENV_DEFAULT
-        assert policy.accum_dtype == ENV_DEFAULT
         # Gradient checking stays float64 whatever the env selects.
         assert policy.grad_check_dtype == np.dtype(np.float64)
 
     def test_from_dtype(self):
         policy = Policy.from_dtype("float32")
         assert policy.compute_dtype == np.dtype(np.float32)
-        assert policy.accum_dtype == np.dtype(np.float32)
         # Gradient checking always stays at float64.
         assert policy.grad_check_dtype == np.dtype(np.float64)
 
     def test_accum_defaults_to_compute(self):
-        policy = Policy(compute_dtype=np.dtype(np.float32))
-        assert policy.accum_dtype == np.dtype(np.float32)
+        """A leaf's gradient buffer is created in the policy's compute
+        dtype, even for a float64 leaf under a float32 policy."""
+        with precision("float32"):
+            w = Tensor(np.ones((2, 3)), requires_grad=True)
+            (w * w).sum().backward()
+        assert w.data.dtype == np.dtype(np.float64)
+        assert w.grad.dtype == np.dtype(np.float32)
 
     def test_rejects_non_float_dtype(self):
         with pytest.raises(ValueError):
@@ -101,7 +104,7 @@ class TestPrecisionStack:
     def test_accepts_policy_instance(self):
         policy = Policy(
             compute_dtype=np.dtype(np.float32),
-            accum_dtype=np.dtype(np.float64),
+            grad_check_dtype=np.dtype(np.float32),
         )
         with precision(policy):
             assert active_policy() is policy
@@ -185,7 +188,8 @@ class TestFloat32EndToEnd:
                 loss = trainer.train_epoch(loader)
             assert np.isfinite(loss)
             assert trainer.cache_size > 0
-            cache_dtypes = {v.dtype for v in trainer._cache.values()}
+            store = trainer.delta_store
+            cache_dtypes = {store.delta(i).dtype for i in store.indices()}
             assert cache_dtypes == {np.dtype(np.float32)}
             param_dtypes = {p.data.dtype for p in model.parameters()}
             assert param_dtypes == {np.dtype(np.float32)}

@@ -23,6 +23,16 @@ class TestSampling:
         assert profiler.samples > 0
         assert profiler.stacks
 
+    def test_sample_seconds_times_the_sampler_work(self):
+        profiler = SamplingProfiler(hz=500)
+        assert profiler.sample_seconds == 0.0
+        started = time.perf_counter()
+        with profiler:
+            _spin(0.1)
+        wall = time.perf_counter() - started
+        assert profiler.samples > 0
+        assert 0.0 < profiler.sample_seconds < wall
+
     def test_invalid_hz_rejected(self):
         with pytest.raises(ValueError, match="hz"):
             SamplingProfiler(hz=0)
