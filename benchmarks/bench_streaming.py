@@ -21,6 +21,10 @@ lanes (which filter ``-k "not epoch_speedup"``) skip the timing gate on
 shared runners; ``test_streaming_smoke`` below is the light exercise
 those lanes do run — a short bounded-budget training run that must match
 its unbounded twin bit-for-bit while staying under budget.
+
+``test_render_rate`` records (without a gate) how fast the prefetch
+thread's producer, ``SyntheticSource.shard``, renders digit shards: when
+rendering is slower than training consumes, the loader waits on data.
 """
 
 import time
@@ -177,3 +181,49 @@ def test_streaming_smoke():
     assert loader.cache.peak_bytes <= budget
     assert bounded.delta_store.peak_bytes <= budget
     assert loader.cache.evictions > 0
+
+
+RENDER_SHARD = 256
+
+
+def test_render_rate():
+    """Digit shard rendering throughput (recorded, not gated).
+
+    Renders 8 shards of 256 examples per round through
+    ``SyntheticSource.shard`` (the call the prefetch thread makes) and
+    records the median examples/s over the rounds.
+    """
+    num_shards, rounds = 8, 5
+    source = SyntheticSource(
+        "digits", num_examples=num_shards * RENDER_SHARD,
+        shard_size=RENDER_SHARD, seed=0,
+    )
+    source.shard(0)  # warm-up: imports, workspace pool
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for shard_id in range(num_shards):
+            source.shard(shard_id)
+        times.append(time.perf_counter() - start)
+    seconds = float(np.median(times))
+    rate = num_shards * RENDER_SHARD / seconds
+    dtype = source.dtype.name
+    text = "\n".join([
+        f"digit shard rendering: SyntheticSource.shard, {dtype}, "
+        f"shards of {RENDER_SHARD}",
+        f"render rate : {rate:10.0f} examples/s (median of {rounds} rounds "
+        f"of {num_shards} shards)",
+        f"per shard   : {1e3 * seconds / num_shards:10.1f} ms",
+    ])
+    path = save_artifact("render_throughput.txt", text)
+    save_bench(
+        "render_throughput",
+        {
+            "examples_per_s": (rate, "examples/s", None),
+            "shard_ms": (1e3 * seconds / num_shards, "ms", None),
+        },
+        context={"workload": "digits SyntheticSource.shard",
+                 "shard_size": RENDER_SHARD, "dtype": dtype},
+    )
+    print(f"\n{text}\nsaved: {path}")
+    assert np.isfinite(rate) and rate > 0

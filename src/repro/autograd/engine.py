@@ -297,14 +297,9 @@ class Tensor:
                         if node_owned:
                             workspace.release(node_grad)
                 else:
-                    existing = node.grad
-                    if (
-                        np.result_type(existing.dtype, node_grad.dtype)
-                        == existing.dtype
-                    ):
-                        np.add(existing, node_grad, out=existing)
-                    else:
-                        node.grad = existing + node_grad
+                    # In place, so .grad keeps its dtype: a wider incoming
+                    # gradient is summed at its width and cast back.
+                    np.add(node.grad, node_grad, out=node.grad)
                     if node_owned:
                         workspace.release(node_grad)
                 continue

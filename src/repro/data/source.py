@@ -10,7 +10,7 @@ configuration and the shard id:
   zero-copy views into its arrays, so the legacy fits-in-memory path pays
   nothing for the abstraction.
 * :class:`SyntheticSource` regenerates shards on the fly from the
-  synthetic example renderers registered in
+  synthetic batch renderers registered in
   :mod:`repro.data.synthetic.registry`, deterministically keyed by
   ``(seed, shard_id)`` — dataset size is unbounded and nothing is ever
   materialised beyond the shards currently resident.
@@ -174,8 +174,8 @@ class TensorSource(DataSource):
 class SyntheticSource(DataSource):
     """Regenerate synthetic shards on demand — unbounded N, zero residency.
 
-    Each shard is rendered example-by-example from the dataset's
-    registered renderer using a generator seeded by ``(seed, shard_id)``
+    Each shard is rendered by one call to the dataset's registered batch
+    renderer, using a generator seeded by ``(seed, shard_id)``
     (a :class:`numpy.random.SeedSequence` spawn key), so any shard can be
     re-produced independently, in any order, in any process, with no
     global state.  Labels cycle through the classes by global index, which
@@ -199,7 +199,7 @@ class SyntheticSource(DataSource):
         Dtype shards are emitted in; ``None`` pins the ambient
         :func:`~repro.runtime.compute_dtype` at construction.
     render_kwargs:
-        Extra keyword arguments for the example renderer (e.g.
+        Extra keyword arguments for the batch renderer (e.g.
         ``noise_std``).
     """
 
@@ -215,7 +215,7 @@ class SyntheticSource(DataSource):
         dtype=None,
         **render_kwargs,
     ) -> None:
-        from .synthetic.registry import dataset_num_classes, example_renderer
+        from .synthetic.registry import batch_renderer, dataset_num_classes
 
         if num_examples <= 0:
             raise ValueError(
@@ -224,7 +224,7 @@ class SyntheticSource(DataSource):
         if shard_size <= 0:
             raise ValueError(f"shard_size must be positive, got {shard_size}")
         self.name = name
-        self._render: Callable = example_renderer(name)
+        self._render: Callable = batch_renderer(name)
         self.num_classes = dataset_num_classes(name)
         self.num_examples = int(num_examples)
         self.shard_size = int(shard_size)
@@ -252,11 +252,10 @@ class SyntheticSource(DataSource):
         # evicted instead of allocating fresh ones every shard.
         x = get_workspace().acquire((n, *self.example_shape), self.dtype)
         y = (start + np.arange(n, dtype=np.int64)) % self.num_classes
-        rng = self.shard_rng(shard_id)
-        for row in range(n):
-            x[row, 0] = self._render(
-                int(y[row]), rng, size=self.size, **self.render_kwargs
-            )
+        self._render(
+            y, self.shard_rng(shard_id), size=self.size, out=x[:, 0],
+            **self.render_kwargs,
+        )
         return x, y
 
 

@@ -4,20 +4,20 @@ from .digits import (
     DIGIT_STROKES,
     SyntheticDigits,
     generate_digits,
-    render_digit,
+    render_digits,
 )
 from .fashion import (
     FASHION_CLASS_NAMES,
     SyntheticFashion,
     generate_fashion,
-    render_fashion,
+    render_fashion_batch,
 )
 from .registry import (
+    BATCH_RENDERERS,
     DATASET_BUILDERS,
-    EXAMPLE_RENDERERS,
     dataset_epsilon,
     dataset_num_classes,
-    example_renderer,
+    batch_renderer,
     load_dataset,
     load_test_split,
 )
@@ -25,17 +25,17 @@ from .registry import (
 __all__ = [
     "SyntheticDigits",
     "generate_digits",
-    "render_digit",
+    "render_digits",
     "DIGIT_STROKES",
     "SyntheticFashion",
     "generate_fashion",
-    "render_fashion",
+    "render_fashion_batch",
     "FASHION_CLASS_NAMES",
+    "BATCH_RENDERERS",
     "DATASET_BUILDERS",
-    "EXAMPLE_RENDERERS",
     "load_dataset",
     "load_test_split",
     "dataset_epsilon",
     "dataset_num_classes",
-    "example_renderer",
+    "batch_renderer",
 ]

@@ -20,18 +20,17 @@ from ...runtime import compute_dtype
 from ...utils.rng import RngLike, ensure_rng, spawn_rngs
 from ..dataset import TensorDataset
 from .render import (
-    add_pixel_noise,
     affine_points,
     pixel_grid,
     random_affine,
-    render_polyline,
+    segment_field,
 )
 
 __all__ = [
     "DIGIT_STROKES",
     "SyntheticDigits",
     "generate_digits",
-    "render_digit",
+    "render_digits",
 ]
 
 
@@ -129,70 +128,148 @@ DIGIT_STROKES: Dict[int, List[List[List[Tuple[float, float]]]]] = {
 }
 
 
-def _jitter_points(
-    polyline: Sequence[Tuple[float, float]],
-    rng: np.random.Generator,
-    amount: float,
-) -> np.ndarray:
-    points = np.asarray(polyline, dtype=np.float64)
-    return points + rng.normal(0.0, amount, size=points.shape)
+# The prototypes as float64 vertex arrays, converted once.
+_STROKE_ARRAYS = {
+    label: [
+        [np.asarray(polyline, dtype=np.float64) for polyline in strokes]
+        for strokes in prototypes
+    ]
+    for label, prototypes in DIGIT_STROKES.items()
+}
+
+# float64 rows an example can hold in a raster chunk: two field rows per
+# stroke segment (see render.segment_field), its canvas and its noise.
+_MAX_EXAMPLE_ROWS = 2 + 2 * max(
+    sum(len(polyline) - 1 for polyline in strokes)
+    for prototypes in _STROKE_ARRAYS.values()
+    for strokes in prototypes
+)
+
+# Working-set budget of one raster chunk, in bytes.  A chunk gathers
+# examples until one more could overflow it, so its numpy calls amortise
+# over several images while the field stays cache-sized.
+_CHUNK_BYTES = 1 << 20
 
 
 def _sharpen(image: np.ndarray) -> np.ndarray:
-    """Push stroke interiors toward 1 and background toward 0.
+    """Push stroke interiors toward 1 and background toward 0, in place.
 
     MNIST pixels are near-binary; that saturation is what makes robust
     classification at eps = 0.3 feasible, so the substitute mimics it.
+    Computes ``1 / (1 + exp(-(image - 0.42) / 0.07))``.
     """
-    return 1.0 / (1.0 + np.exp(-(image - 0.42) / 0.07))
+    np.subtract(0.42, image, out=image)  # == -(image - 0.42), bit for bit
+    image /= 0.07
+    np.exp(image, out=image)
+    image += 1.0
+    return np.divide(1.0, image, out=image)
 
 
-def _render_digit(
-    label: int,
-    rng: np.random.Generator,
-    size: int,
-    point_jitter: float,
-    noise_std: float,
-) -> np.ndarray:
-    prototypes = DIGIT_STROKES[label]
-    strokes = prototypes[rng.integers(len(prototypes))]
-    params = random_affine(rng)
-    width = rng.uniform(0.055, 0.085)
-    grid = pixel_grid(size)
-    image = np.zeros((size, size), dtype=np.float64)
-    for polyline in strokes:
-        jittered = _jitter_points(polyline, rng, point_jitter)
-        transformed = affine_points(jittered, **params)
-        np.maximum(
-            image,
-            render_polyline(transformed, size=size, width=width, grid=grid),
-            out=image,
-        )
-    image = _sharpen(image)
-    return add_pixel_noise(
-        image, rng, noise_std=noise_std, intensity_range=(0.95, 1.0)
-    )
+class _Chunk:
+    """The draws of a run of consecutive examples, awaiting rasterisation."""
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+        self.polylines: List[np.ndarray] = []
+        self.segments: List[int] = []
+        self.denoms: List[float] = []
+        self.intensities: List[float] = []
+        self.noises: List[np.ndarray] = []
+        self.rows = 0
+
+    def draw(
+        self,
+        label: int,
+        rng: np.random.Generator,
+        size: int,
+        point_jitter: float,
+        noise_std: float,
+    ) -> None:
+        """Draw one example's randomness, in the renderer's fixed order."""
+        prototypes = _STROKE_ARRAYS[label]
+        strokes = prototypes[rng.integers(len(prototypes))]
+        params = random_affine(rng)
+        width = rng.uniform(0.055, 0.085)
+        segments = 0
+        for polyline in strokes:
+            jittered = polyline + rng.normal(
+                0.0, point_jitter, size=polyline.shape
+            )
+            self.polylines.append(affine_points(jittered, **params))
+            segments += len(polyline) - 1
+        self.segments.append(segments)
+        self.denoms.append(2.0 * width * width)
+        self.intensities.append(rng.uniform(0.95, 1.0))
+        if noise_std > 0:
+            self.noises.append(
+                rng.normal(0.0, noise_std, size=(size, size)).reshape(-1)
+            )
+        self.rows += 2 * segments + 2
+
+    def raster(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:
+        """Rasterise, sharpen and noise the chunk into ``out``."""
+        starts = np.concatenate([p[:-1] for p in self.polylines])
+        ends = np.concatenate([p[1:] for p in self.polylines])
+        denom = np.repeat(self.denoms, self.segments)[:, None]
+        field = segment_field(starts, ends, denom, xs, ys)
+        # Max is exact, so one reduction per example over all its
+        # segments equals the per-segment running maximum.
+        canvas = np.empty((len(self.segments), len(xs)))
+        stop = 0
+        for row, segments in zip(canvas, self.segments):
+            start, stop = stop, stop + segments
+            field[start:stop].max(axis=0, out=row)
+        del field
+        _sharpen(canvas)
+        canvas *= np.asarray(self.intensities)[:, None]
+        for row, noise in zip(canvas, self.noises):
+            row += noise
+        np.clip(canvas, 0.0, 1.0, out=canvas)
+        out[...] = canvas.reshape(out.shape)
 
 
-def render_digit(
-    label: int,
+def render_digits(
+    labels: Sequence[int],
     rng: RngLike,
     size: int = 28,
     point_jitter: float = 0.012,
     noise_std: float = 0.02,
+    out: np.ndarray = None,
 ) -> np.ndarray:
-    """Render one digit image — the per-example streaming primitive.
+    """Render one digit image per label — the batch renderer.
 
-    Streaming sources (:class:`repro.data.source.SyntheticSource`)
-    regenerate shards on the fly by drawing examples one at a time from a
-    shard-scoped generator; the image depends only on the label and the
-    generator state, so a shard's content is a pure function of its
-    ``(seed, shard_id)`` key.  Returns a ``(size, size)`` float64 image in
-    ``[0, 1]``.
+    Each example draws from ``rng`` in a fixed order: the prototype, the
+    affine transform, the stroke width, one jitter per polyline, the
+    intensity, then the pixel noise.  Examples draw one after another,
+    so an image depends only on its label and the generator state, and
+    a shard's content is a pure function of its ``(seed, shard_id)`` key
+    (see :class:`repro.data.source.SyntheticSource`).  Rasterisation
+    runs one chunk of examples at a time: all their stroke segments in
+    one :func:`~repro.data.synthetic.render.segment_field` call.
+
+    Returns ``out`` (allocated as float64 when ``None``): ``(n, size,
+    size)`` images in ``[0, 1]``, computed in float64 and cast on the
+    write into ``out``.
     """
-    return _render_digit(
-        int(label), ensure_rng(rng), size, point_jitter, noise_std
+    generator = ensure_rng(rng)
+    if out is None:
+        out = np.empty((len(labels), size, size), dtype=np.float64)
+    xs, ys = (axis.reshape(-1) for axis in pixel_grid(size))
+    # A broadcasting ufunc also takes up to two bufsize-element scratch
+    # buffers; the rest of the budget holds the chunk's rows.
+    scratch = 2 * np.getbufsize() * 8
+    budget_rows = max(
+        (_CHUNK_BYTES - scratch) // (size * size * 8), _MAX_EXAMPLE_ROWS
     )
+    chunk = _Chunk(0)
+    for index, label in enumerate(labels):
+        chunk.draw(int(label), generator, size, point_jitter, noise_std)
+        if chunk.rows + _MAX_EXAMPLE_ROWS > budget_rows:
+            chunk.raster(xs, ys, out[chunk.start:index + 1])
+            chunk = _Chunk(index + 1)
+    if chunk.segments:
+        chunk.raster(xs, ys, out[chunk.start:])
+    return out
 
 
 def generate_digits(
@@ -222,16 +299,13 @@ def generate_digits(
     examples = np.empty(
         (10 * num_per_class, 1, size, size), dtype=compute_dtype()
     )
-    labels = np.empty(10 * num_per_class, dtype=np.int64)
-    cursor = 0
+    labels = np.repeat(np.arange(10, dtype=np.int64), num_per_class)
     for label in range(10):
-        class_rng = class_rngs[label]
-        for _ in range(num_per_class):
-            examples[cursor, 0] = _render_digit(
-                label, class_rng, size, point_jitter, noise_std
-            )
-            labels[cursor] = label
-            cursor += 1
+        rows = slice(label * num_per_class, (label + 1) * num_per_class)
+        render_digits(
+            labels[rows], class_rngs[label], size, point_jitter, noise_std,
+            out=examples[rows, 0],
+        )
     # Interleave classes so truncated subsets stay balanced.
     order = ensure_rng(generator).permutation(len(labels))
     return examples[order], labels[order]

@@ -9,7 +9,7 @@ which the paper's Figure 1/2 (b) panels and Table I rely on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .render import pixel_grid
 __all__ = [
     "SyntheticFashion",
     "generate_fashion",
-    "render_fashion",
+    "render_fashion_batch",
     "FASHION_CLASS_NAMES",
 ]
 
@@ -221,18 +221,25 @@ def _render_fashion(
     return np.clip(image, 0.0, 1.0)
 
 
-def render_fashion(
-    label: int,
+def render_fashion_batch(
+    labels: Sequence[int],
     rng: RngLike,
     size: int = 28,
     noise_std: float = 0.05,
+    out: np.ndarray = None,
 ) -> np.ndarray:
-    """Render one fashion image — the per-example streaming primitive.
+    """Render one fashion image per label — the batch renderer.
 
-    Counterpart of :func:`repro.data.synthetic.digits.render_digit`; see
-    there for the determinism contract streaming sources rely on.
+    Counterpart of :func:`repro.data.synthetic.digits.render_digits` (see
+    there for the determinism contract streaming sources rely on); each
+    example is rendered on its own, in label order.
     """
-    return _render_fashion(int(label), ensure_rng(rng), size, noise_std)
+    generator = ensure_rng(rng)
+    if out is None:
+        out = np.empty((len(labels), size, size), dtype=np.float64)
+    for row, label in enumerate(labels):
+        out[row] = _render_fashion(int(label), generator, size, noise_std)
+    return out
 
 
 def generate_fashion(
@@ -259,16 +266,13 @@ def generate_fashion(
     examples = np.empty(
         (10 * num_per_class, 1, size, size), dtype=compute_dtype()
     )
-    labels = np.empty(10 * num_per_class, dtype=np.int64)
-    cursor = 0
+    labels = np.repeat(np.arange(10, dtype=np.int64), num_per_class)
     for label in range(10):
-        class_rng = class_rngs[label]
-        for _ in range(num_per_class):
-            examples[cursor, 0] = _render_fashion(
-                label, class_rng, size, noise_std
-            )
-            labels[cursor] = label
-            cursor += 1
+        rows = slice(label * num_per_class, (label + 1) * num_per_class)
+        render_fashion_batch(
+            labels[rows], class_rngs[label], size, noise_std,
+            out=examples[rows, 0],
+        )
     order = generator.permutation(len(labels))
     return examples[order], labels[order]
 

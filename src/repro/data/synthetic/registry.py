@@ -10,17 +10,17 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..dataset import TensorDataset
-from .digits import SyntheticDigits, render_digit
-from .fashion import SyntheticFashion, render_fashion
+from .digits import SyntheticDigits, render_digits
+from .fashion import SyntheticFashion, render_fashion_batch
 
 __all__ = [
+    "BATCH_RENDERERS",
     "DATASET_BUILDERS",
-    "EXAMPLE_RENDERERS",
     "load_dataset",
     "load_test_split",
     "dataset_epsilon",
     "dataset_num_classes",
-    "example_renderer",
+    "batch_renderer",
 ]
 
 # Per-dataset total perturbation budgets used throughout the experiments.
@@ -51,12 +51,13 @@ DATASET_BUILDERS = {
     "fashion": _build_fashion,
 }
 
-# Per-example render functions ``(label, rng, size=...) -> (size, size)``
-# used by the streaming :class:`repro.data.source.SyntheticSource` to
-# regenerate shards on the fly instead of materialising a full dataset.
-EXAMPLE_RENDERERS = {
-    "digits": render_digit,
-    "fashion": render_fashion,
+# Batch render functions ``(labels, rng, size=..., out=..., **kw) ->
+# (n, size, size)`` used by the streaming
+# :class:`repro.data.source.SyntheticSource` to regenerate shards on the
+# fly instead of materialising a full dataset.
+BATCH_RENDERERS = {
+    "digits": render_digits,
+    "fashion": render_fashion_batch,
 }
 
 _NUM_CLASSES = {"digits": 10, "fashion": 10}
@@ -71,14 +72,14 @@ def dataset_num_classes(name: str) -> int:
     return _NUM_CLASSES[name]
 
 
-def example_renderer(name: str):
-    """The per-example render function backing a streaming source."""
-    if name not in EXAMPLE_RENDERERS:
+def batch_renderer(name: str):
+    """The batch render function backing a streaming source."""
+    if name not in BATCH_RENDERERS:
         raise KeyError(
             f"unknown dataset {name!r}; choose from "
-            f"{sorted(EXAMPLE_RENDERERS)}"
+            f"{sorted(BATCH_RENDERERS)}"
         )
-    return EXAMPLE_RENDERERS[name]
+    return BATCH_RENDERERS[name]
 
 
 def dataset_epsilon(name: str) -> float:

@@ -23,6 +23,7 @@ from ..autograd import Tensor
 from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
+from ..utils.rng import RngLike
 from ..utils.validation import check_in_unit_interval
 from .trainer import Trainer
 
@@ -56,10 +57,11 @@ class MixedAdversarialTrainer(Trainer):
         scheduler=None,
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
             model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
-            warmup_epochs=warmup_epochs,
+            warmup_epochs=warmup_epochs, rng=rng,
         )
         check_in_unit_interval("clean_weight", clean_weight)
         self.clean_weight = clean_weight

@@ -26,6 +26,7 @@ from ..autograd import Tensor
 from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
+from ..utils.rng import RngLike
 from ..utils.validation import check_in_unit_interval, check_positive
 from .domain_adaptation import (
     ClassCenters,
@@ -73,10 +74,11 @@ class AtdaTrainer(Trainer):
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
         scheduler=None,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
             model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
-            warmup_epochs=warmup_epochs,
+            warmup_epochs=warmup_epochs, rng=rng,
         )
         if not hasattr(model, "embed"):
             raise TypeError(

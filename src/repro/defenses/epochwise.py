@@ -39,6 +39,7 @@ from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
 from ..runtime import ensure_float_array
+from ..utils.rng import RngLike
 from ..utils.validation import check_positive
 from .adversarial import MixedAdversarialTrainer
 from .delta import DEFAULT_BLOCK_SIZE, DeltaStore
@@ -98,10 +99,11 @@ class EpochwiseAdvTrainer(MixedAdversarialTrainer):
         scheduler=None,
         delta_block_size: int = DEFAULT_BLOCK_SIZE,
         delta_budget_bytes: Optional[int] = None,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
             model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
-            clean_weight=clean_weight, warmup_epochs=warmup_epochs,
+            clean_weight=clean_weight, warmup_epochs=warmup_epochs, rng=rng,
         )
         check_positive("epsilon", epsilon)
         if reset_interval < 0:

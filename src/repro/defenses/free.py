@@ -29,6 +29,7 @@ from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
 from ..runtime import compute_dtype, ensure_float_array
+from ..utils.rng import RngLike
 from ..utils.validation import check_positive
 from .trainer import Trainer
 
@@ -65,10 +66,11 @@ class FreeAdvTrainer(Trainer):
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
         scheduler=None,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
             model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
-            warmup_epochs=warmup_epochs,
+            warmup_epochs=warmup_epochs, rng=rng,
         )
         check_positive("epsilon", epsilon)
         if replays <= 0:

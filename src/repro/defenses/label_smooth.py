@@ -14,6 +14,7 @@ from ..autograd import Tensor
 from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
+from ..utils.rng import RngLike
 from ..utils.validation import check_in_unit_interval
 from .trainer import Trainer
 
@@ -41,9 +42,11 @@ class LabelSmoothingTrainer(Trainer):
         smoothing: float = 0.1,
         scheduler=None,
         warmup_epochs: int = 0,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, scheduler=scheduler, warmup_epochs=warmup_epochs
+            model, optimizer, scheduler=scheduler,
+            warmup_epochs=warmup_epochs, rng=rng,
         )
         check_in_unit_interval("smoothing", smoothing)
         self.smoothing = float(smoothing)

@@ -10,22 +10,19 @@ variants.
 from __future__ import annotations
 
 from ..attacks import Attack, build_attack
-from ..utils.rng import RngLike
 from .adversarial import IterAdvTrainer
 
 __all__ = ["PgdAdvTrainer"]
 
 
 class PgdAdvTrainer(IterAdvTrainer):
-    """Iter-Adv with PGD (random-start BIM) as the training attack."""
+    """Iter-Adv with PGD (random-start BIM) as the training attack.
+
+    The random starts draw from the trainer's ``rng``
+    (see :class:`~repro.defenses.trainer.Trainer`).
+    """
 
     name = "pgd_adv"
-
-    def __init__(
-        self, model, optimizer, epsilon: float, rng: RngLike = None, **kwargs
-    ) -> None:
-        super().__init__(model, optimizer, epsilon, **kwargs)
-        self._rng = rng
 
     def make_attack(self) -> Attack:
         """Build the PGD training attack bound to the current model."""
@@ -35,6 +32,6 @@ class PgdAdvTrainer(IterAdvTrainer):
             epsilon=self.epsilon,
             num_steps=self.num_steps,
             step_size=self.step_size,
-            rng=self._rng,
+            rng=self.rng,
             loss_fn=self.loss_fn,
         )

@@ -31,6 +31,7 @@ from ..data.loader import Batch
 from ..nn import Module, cross_entropy
 from ..optim import Optimizer
 from ..runtime import ensure_float_array
+from ..utils.rng import RngLike
 from ..utils.validation import check_positive
 from .trainer import Trainer
 
@@ -78,10 +79,11 @@ class TradesTrainer(Trainer):
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
         scheduler=None,
+        rng: RngLike = None,
     ) -> None:
         super().__init__(
             model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
-            warmup_epochs=warmup_epochs,
+            warmup_epochs=warmup_epochs, rng=rng,
         )
         check_positive("epsilon", epsilon)
         check_positive("beta", beta)

@@ -28,6 +28,7 @@ from ..nn import Module, cross_entropy
 from ..optim import LRScheduler, Optimizer
 from ..runtime.workspace import get_workspace
 from ..telemetry import ConsoleEvents, Stopwatch
+from ..utils.rng import RngLike, ensure_rng
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -81,6 +82,10 @@ class Trainer:
         Clean epochs before a defense's own step takes over: while
         :attr:`in_warmup`, every trainer runs the vanilla step on
         :meth:`Trainer.compute_batch_loss`, whatever it overrides.
+    rng:
+        Seed or generator of the defense's training-time randomness
+        (:attr:`rng`; PGD's random start draws from it).  ``None`` draws
+        fresh entropy, so pass a seed for a reproducible run.
     """
 
     name = "vanilla"
@@ -92,6 +97,7 @@ class Trainer:
         loss_fn: Callable = cross_entropy,
         scheduler: Optional[LRScheduler] = None,
         warmup_epochs: int = 0,
+        rng: RngLike = None,
     ) -> None:
         if warmup_epochs < 0:
             raise ValueError(
@@ -102,6 +108,7 @@ class Trainer:
         self.loss_fn = loss_fn
         self.scheduler = scheduler
         self.warmup_epochs = int(warmup_epochs)
+        self.rng = ensure_rng(rng)
         self.epoch = 0
 
     @property

@@ -94,7 +94,12 @@ class ClassifierPool:
             return self._cache[name]
         with self.config.precision_scope():
             model = self._make_model()
-            kwargs = {"warmup_epochs": self.config.warmup_epochs}
+            # The experiment seed also seeds training-time randomness
+            # (PGD's random start), so every defense trains reproducibly.
+            kwargs = {
+                "warmup_epochs": self.config.warmup_epochs,
+                "rng": self.config.seed,
+            }
             kwargs.update(trainer_overrides)
             trainer = build_trainer(
                 name,

@@ -7,6 +7,7 @@ from repro.data import DataLoader
 from repro.defenses import FreeAdvTrainer, Trainer
 from repro.models import mnist_mlp
 from repro.optim import Adam
+from tests.helpers import passes_per_batch
 
 
 def make_trainer(replays=4, **kwargs):
@@ -59,11 +60,12 @@ class TestMechanics:
         assert trainer.delta_cache_size == 0
 
     def test_epoch_cost_scales_with_replays(self, digits_small):
+        """Each replay of a batch is one more backward pass."""
         train, _ = digits_small
         loader = DataLoader(train, batch_size=64, rng=0)
-        t1 = make_trainer(replays=1).fit(loader, epochs=2).time_per_epoch
-        t4 = make_trainer(replays=4).fit(loader, epochs=2).time_per_epoch
-        assert t4 > t1 * 2
+        one = passes_per_batch(make_trainer(replays=1), loader)
+        four = passes_per_batch(make_trainer(replays=4), loader)
+        assert four["backward"] > one["backward"] * 2
 
     def test_loss_reported(self, digits_small):
         train, _ = digits_small

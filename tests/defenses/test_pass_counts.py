@@ -12,11 +12,10 @@ BIM(k)-Adv runs k + 2 and k + 1.
 
 import pytest
 
-from repro.autograd import Tensor
 from repro.data import DataLoader
 from repro.defenses import build_trainer
 from repro.models import mnist_mlp
-from repro.models.classifier import FeatureClassifier
+from tests.helpers import passes_per_batch
 
 # method: (forwards per batch, backwards per batch)
 EXPECTED = {
@@ -29,30 +28,13 @@ EXPECTED = {
 }
 
 
-def _counting(counts, key, real):
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return real(*args, **kwargs)
-    return wrapper
-
-
 @pytest.mark.parametrize("method", list(EXPECTED))
-def test_passes_per_batch(method, digits_small, monkeypatch):
+def test_passes_per_batch(method, digits_small):
     train, _ = digits_small
     loader = DataLoader(train, batch_size=50, rng=0)
     # Adversarial trainers start attacking from the first epoch.
     kwargs = {} if method == "vanilla" else {"warmup_epochs": 0}
     trainer = build_trainer(method, mnist_mlp(seed=0), epsilon=0.3, **kwargs)
-    counts = {"forward": 0, "backward": 0}
-    monkeypatch.setattr(
-        FeatureClassifier, "embed",
-        _counting(counts, "forward", FeatureClassifier.embed),
-    )
-    monkeypatch.setattr(
-        Tensor, "backward", _counting(counts, "backward", Tensor.backward)
-    )
-    trainer.train_epoch(loader)
-    batches = len(loader)
-    assert batches > 1
-    per_batch = (counts["forward"] / batches, counts["backward"] / batches)
-    assert per_batch == EXPECTED[method]
+    assert len(loader) > 1
+    counts = passes_per_batch(trainer, loader)
+    assert (counts["forward"], counts["backward"]) == EXPECTED[method]

@@ -1,6 +1,12 @@
 """Shared numeric helpers for the test suite."""
 
+import contextlib
+
 import numpy as np
+
+from repro.autograd import Tensor
+from repro.autograd.engine import Function
+from repro.models.classifier import FeatureClassifier
 
 
 def box_tol(arr) -> float:
@@ -23,3 +29,48 @@ def in_layout(arr, layout):
     if layout == "nchw":
         return np.ascontiguousarray(arr)
     return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@contextlib.contextmanager
+def count_passes():
+    """Count model passes and autograd work while the block runs.
+
+    Yields a dict of running counts: ``forward`` (one model pass is one
+    ``FeatureClassifier.embed`` call), ``backward`` (``Tensor.backward``
+    calls) and ``ops`` (autograd ``Function.apply`` calls, i.e. recorded
+    operations).  Counts are deterministic, unlike wall-clock time, so
+    they carry the paper's cost orderings on a loaded machine too.
+    """
+    counts = {"forward": 0, "backward": 0, "ops": 0}
+    real_embed = FeatureClassifier.embed
+    real_backward = Tensor.backward
+    real_apply = Function.__dict__["apply"]
+
+    def embed(*args, **kwargs):
+        counts["forward"] += 1
+        return real_embed(*args, **kwargs)
+
+    def backward(*args, **kwargs):
+        counts["backward"] += 1
+        return real_backward(*args, **kwargs)
+
+    def apply(cls, *args, **kwargs):
+        counts["ops"] += 1
+        return real_apply.__func__(cls, *args, **kwargs)
+
+    FeatureClassifier.embed = embed
+    Tensor.backward = backward
+    Function.apply = classmethod(apply)
+    try:
+        yield counts
+    finally:
+        FeatureClassifier.embed = real_embed
+        Tensor.backward = real_backward
+        Function.apply = real_apply
+
+
+def passes_per_batch(trainer, loader):
+    """:func:`count_passes` counts per batch over one training epoch."""
+    with count_passes() as counts:
+        trainer.train_epoch(loader)
+    return {key: value / len(loader) for key, value in counts.items()}

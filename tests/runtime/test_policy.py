@@ -59,6 +59,16 @@ class TestPolicy:
         assert w.data.dtype == np.dtype(np.float64)
         assert w.grad.dtype == np.dtype(np.float32)
 
+    def test_accumulation_keeps_grad_dtype(self):
+        """A second backward into a float64 leaf under a float32 policy
+        accumulates into the float32 ``.grad`` instead of widening it."""
+        with precision("float32"):
+            w = Tensor(np.ones((2, 3)), requires_grad=True)
+            (w * w).sum().backward()
+            (w * 3.0).sum().backward()
+        assert w.grad.dtype == np.dtype(np.float32)
+        np.testing.assert_array_equal(w.grad, np.full((2, 3), 5.0))
+
     def test_rejects_non_float_dtype(self):
         with pytest.raises(ValueError):
             Policy.from_dtype("int64")
