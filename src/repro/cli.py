@@ -52,9 +52,8 @@ __all__ = ["main", "build_parser"]
 
 def _config_for(args) -> "ExperimentConfig":
     dtype = getattr(args, "dtype", "") or None
-    telemetry = getattr(args, "telemetry", "") or None
     workers = getattr(args, "workers", None) or None
-    common = dict(dtype=dtype, telemetry=telemetry, workers=workers)
+    common = dict(dtype=dtype, workers=workers)
     if args.scale == "paper":
         return paper_scale(args.dataset, **common)
     if args.scale == "medium":
@@ -151,7 +150,6 @@ def _cmd_serve(args) -> int:
     service = InferenceService(
         model,
         max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
         queue_depth=args.queue_depth,
         timeout_s=args.timeout_s,
         cache_size=args.cache_size,
@@ -164,7 +162,7 @@ def _cmd_serve(args) -> int:
     host, port = server.server_address[:2]
     print(
         f"serving {config.model} on http://{host}:{port}  "
-        f"(batch<= {args.max_batch_size}, wait<= {args.max_wait_us}us, "
+        f"(batch<= {args.max_batch_size}, "
         f"queue<= {args.queue_depth}, cache {args.cache_size})"
     )
     print("endpoints: POST /classify  POST /audit  GET /healthz  GET /metrics")
@@ -342,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-batch-size", type=int, default=32, metavar="N",
         help="micro-batch coalescing bound (1 = no coalescing)",
-    )
-    p_serve.add_argument(
-        "--max-wait-us", type=int, default=0, metavar="US",
-        help="how long a short batch waits for more requests (0 = "
-        "work-conserving: batch whatever is queued when the worker is free)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=256, metavar="N",

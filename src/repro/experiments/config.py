@@ -14,7 +14,6 @@ from typing import Optional
 
 from ..data.synthetic import dataset_epsilon
 from ..runtime import precision
-from ..telemetry import capture
 
 __all__ = ["ExperimentConfig", "paper_scale", "smoke_scale"]
 
@@ -45,10 +44,6 @@ class ExperimentConfig:
     dtype:
         Floating dtype for the whole experiment (``"float32"`` or
         ``"float64"``).  ``None`` inherits the ambient runtime policy.
-    telemetry:
-        Optional JSONL path; when set, :meth:`telemetry_scope` records the
-        experiment's spans/counters/events as a run record renderable with
-        ``repro report``.  ``None`` leaves telemetry in its ambient state.
     workers:
         Grid worker processes for the figure1 and ablation sweeps
         (``--workers`` CLI flag on ``figure1`` and ``ablate``).  ``None``
@@ -71,7 +66,6 @@ class ExperimentConfig:
     epsilon: Optional[float] = None
     eval_batch_size: int = 256
     dtype: Optional[str] = None
-    telemetry: Optional[str] = None
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -116,16 +110,6 @@ class ExperimentConfig:
         if self.dtype is None:
             return contextlib.nullcontext()
         return precision(self.dtype)
-
-    def telemetry_scope(self):
-        """Context manager recording this config's telemetry run record.
-
-        A no-op when ``telemetry`` is unset; otherwise enables telemetry
-        and streams every record to the configured JSONL path.
-        """
-        if self.telemetry is None:
-            return contextlib.nullcontext()
-        return capture(jsonl=self.telemetry)
 
     @property
     def resolved_workers(self) -> int:

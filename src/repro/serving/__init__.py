@@ -4,9 +4,8 @@ The ``repro serve`` subsystem — an async inference + robustness-audit
 service built on the standard library only:
 
 * :class:`~repro.serving.batching.MicroBatcher` coalesces concurrent
-  single-example requests into batched forward passes (work-conserving,
-  up to max-batch-size, optional max-wait window) behind a bounded queue
-  that sheds on overload;
+  requests into batched forward passes (work-conserving, up to
+  max-batch-size) behind a bounded queue that sheds on overload;
 * :class:`~repro.serving.service.InferenceService` adds the LRU
   prediction cache (input digest + model/policy signature keys), the
   attack-registry ``audit`` endpoint and the telemetry surface;

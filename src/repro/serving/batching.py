@@ -2,39 +2,39 @@
 
 The serving hot path is dominated by per-call dispatch: a single-example
 forward pass through the CNN costs almost as much engine overhead as a
-32-example one, so coalescing concurrent single-example requests into one
-batched forward amortises that overhead across the batch (Kurakin et al.'s
+32-example one, so coalescing concurrent requests into one batched
+forward amortises that overhead across the batch (Kurakin et al.'s
 batched-execution lever, applied to inference).  :class:`MicroBatcher`
-is work-conserving by default:
+is work-conserving:
 
+* every request enters through :meth:`MicroBatcher.submit_many`, which
+  queues a group of examples back to back — a single example is a group
+  of one;
 * the single worker thread sleeps until something is queued, then takes
-  everything queued, up to ``max_batch_size`` requests, as one batch —
+  everything queued, up to ``max_batch_size`` examples, as one batch —
   under load the queue refills while a forward pass runs, so requests
-  coalesce without any waiting;
-* ``max_wait_us > 0`` adds a deliberate window: a batch that is still
-  short of ``max_batch_size`` waits up to that long, from its first
-  take, for more requests;
+  coalesce without any timer;
 * the whole batch runs through one ``run_batch`` call on the worker
-  thread, and each request's :class:`~concurrent.futures.Future` is
-  resolved with its example's result.
+  thread, and each example's :class:`~concurrent.futures.Future` is
+  resolved with its result.
 
 Overload degrades gracefully instead of collapsing:
 
-* the queue is **bounded** (``queue_depth``); once full, new submissions
-  are shed immediately with :class:`QueueFullError` (HTTP 429) rather
-  than piling up latency for everyone.  :meth:`MicroBatcher.submit_many`
-  admits a client batch all-or-nothing: its requests are queued back to
-  back or the whole group is shed;
-* callers wait with a deadline — :meth:`MicroBatcher.run` maps a missed
-  deadline to :class:`RequestTimeout` (HTTP 504);
+* the queue is **bounded** (``queue_depth``); a group that does not fit
+  is shed whole with :class:`QueueFullError` (HTTP 429) before any of it
+  is queued, rather than piling up latency for everyone;
+* callers wait with a deadline — :meth:`MicroBatcher.gather` waits on a
+  group's futures under one deadline and maps a miss to
+  :class:`RequestTimeout` (HTTP 504), counting it once in ``timeouts``
+  and ``serving.classify.timeouts``;
 * :meth:`MicroBatcher.close` stops admissions (:class:`ServiceClosed`,
   HTTP 503) but drains every already-admitted request before the worker
   exits, so in-flight work completes on graceful shutdown.
 
 Metrics are recorded straight into the process-wide registry (bypassing
 the thread-local enabled flag) so the ``metrics`` endpoint is always live:
-``serving.*`` counters, queue-depth gauge, and batch-size / batch-latency
-histograms with streaming p50/p90/p99.
+``serving.classify.*`` counters, queue-depth gauge, and batch-size /
+batch-latency histograms with streaming p50/p90/p99.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import wait as wait_futures
 from typing import Callable, List, Optional, Sequence
 
 from .. import telemetry as tel
@@ -55,6 +55,10 @@ __all__ = [
     "ServiceClosed",
     "MicroBatcher",
 ]
+
+#: Label in the batcher's metric names (``serving.classify.*``), error
+#: messages and worker thread name.
+NAME = "classify"
 
 
 class ServingError(RuntimeError):
@@ -90,7 +94,7 @@ class ServiceClosed(ServingError):
 
 
 class MicroBatcher:
-    """Coalesce single-payload requests into batched ``run_batch`` calls.
+    """Coalesce queued requests into batched ``run_batch`` calls.
 
     Parameters
     ----------
@@ -101,17 +105,9 @@ class MicroBatcher:
         Upper bound on coalesced batch size (1 disables coalescing — the
         single-request-at-a-time baseline the throughput gate compares
         against).
-    max_wait_us:
-        How long a short batch waits for more requests, in microseconds.
-        The default 0 is work-conserving: the worker batches whatever is
-        queued the moment it becomes free.  A positive window starts at
-        the batch's first take, so an idle service never delays a lone
-        request by more than the window.
     queue_depth:
         Bound on admitted-but-unprocessed requests; beyond it submissions
         fail fast with :class:`QueueFullError`.
-    name:
-        Label used in metric names and the worker thread name.
     """
 
     def __init__(
@@ -119,9 +115,7 @@ class MicroBatcher:
         run_batch: Callable[[Sequence[object]], Sequence[object]],
         *,
         max_batch_size: int = 32,
-        max_wait_us: int = 0,
         queue_depth: int = 256,
-        name: str = "classify",
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(
@@ -131,13 +125,9 @@ class MicroBatcher:
             raise ValueError(
                 f"queue_depth must be at least 1, got {queue_depth}"
             )
-        if max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         self._run_batch = run_batch
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = max_wait_us / 1e6
         self.queue_depth = int(queue_depth)
-        self.name = name
         # (payload, future, trace context) triples.  Admission, the
         # worker's takes and close() all hold ``_cond``, so a group is
         # queued atomically and nothing is admitted after close().
@@ -150,19 +140,11 @@ class MicroBatcher:
         self._shed = 0
         self._timeouts = 0
         self._worker = threading.Thread(
-            target=self._loop, name=f"repro-serve-{name}", daemon=True
+            target=self._loop, name=f"repro-serve-{NAME}", daemon=True
         )
         self._worker.start()
 
     # -- submission ------------------------------------------------------
-    def submit(self, payload) -> Future:
-        """Admit one request; returns the future carrying its result.
-
-        Raises :class:`ServiceClosed` after :meth:`close` and
-        :class:`QueueFullError` when the bounded queue is full.
-        """
-        return self.submit_many((payload,))[0]
-
     def submit_many(self, payloads: Sequence[object]) -> List[Future]:
         """Admit a group of requests at once; one future per payload.
 
@@ -180,7 +162,7 @@ class MicroBatcher:
         ctx = tel.current_context() if tel.enabled() else None
         with self._cond:
             if self._closed:
-                raise ServiceClosed(f"{self.name}: batcher is shut down")
+                raise ServiceClosed(f"{NAME}: batcher is shut down")
             depth = len(self._pending) + len(futures)
             admitted = depth <= self.queue_depth
             if admitted:
@@ -193,54 +175,44 @@ class MicroBatcher:
             else:
                 self._shed += len(futures)
         if not admitted:
-            self._metrics.inc(f"serving.{self.name}.shed", len(futures))
+            self._metrics.inc(f"serving.{NAME}.shed", len(futures))
             raise QueueFullError(
-                f"{self.name}: request queue is full "
+                f"{NAME}: request queue is full "
                 f"(depth {self.queue_depth}); {len(futures)} request(s) shed"
             )
-        self._metrics.set_gauge(f"serving.{self.name}.queue_depth", depth)
+        self._metrics.set_gauge(f"serving.{NAME}.queue_depth", depth)
         return futures
 
-    def run(self, payload, timeout: Optional[float] = None):
-        """Submit and wait for the result with an optional deadline.
+    def gather(
+        self, futures: Sequence[Future], timeout: Optional[float] = None
+    ) -> List:
+        """Results of a group's futures, in order, under one deadline.
 
-        A missed deadline raises :class:`RequestTimeout`.  The request is
-        *not* recalled from the queue — its batch still executes — so a
-        timeout bounds the caller's wait, not the server's work.
+        A missed deadline raises :class:`RequestTimeout` and counts once,
+        however many of the group's results are late.  The requests are
+        *not* recalled from the queue — their batches still execute — so
+        a timeout bounds the caller's wait, not the server's work.
         """
-        future = self.submit(payload)
-        try:
-            return future.result(timeout)
-        except FutureTimeout:
-            self._timeouts += 1
-            self._metrics.inc(f"serving.{self.name}.timeouts")
+        _done, late = wait_futures(futures, timeout)
+        if late:
+            with self._cond:
+                self._timeouts += 1
+            self._metrics.inc(f"serving.{NAME}.timeouts")
             raise RequestTimeout(
-                f"{self.name}: no result within {timeout:.3f}s"
-            ) from None
+                f"{NAME}: {len(late)} of {len(futures)} result(s) missed "
+                f"the {timeout:.3f}s deadline"
+            )
+        return [future.result() for future in futures]
 
     # -- worker ----------------------------------------------------------
-    def _take(self, batch: List) -> None:
-        """Move queued requests into ``batch`` up to ``max_batch_size``."""
-        while self._pending and len(batch) < self.max_batch_size:
-            batch.append(self._pending.popleft())
-
     def _next_batch(self) -> List:
         """Block for the next batch; empty once closed and drained."""
         batch: List = []
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
-            self._take(batch)
-            if not batch or self.max_wait_s <= 0:
-                return batch
-            deadline = time.monotonic() + self.max_wait_s
-            # After close() nothing more can arrive, so stop waiting.
-            while len(batch) < self.max_batch_size and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-                self._take(batch)
+            while self._pending and len(batch) < self.max_batch_size:
+                batch.append(self._pending.popleft())
         return batch
 
     def _run_traced(self, payloads, ctxs):
@@ -255,7 +227,7 @@ class MicroBatcher:
         """
         if not ctxs:
             return self._run_batch(payloads)
-        attrs = {"batcher": self.name, "size": len(payloads)}
+        attrs = {"batcher": NAME, "size": len(payloads)}
         if len(ctxs) > 1:
             attrs["links"] = [f"{c.trace_id}-{c.span_id}" for c in ctxs[1:]]
         previous = tel.set_enabled(True)
@@ -277,11 +249,11 @@ class MicroBatcher:
             results = self._run_traced(payloads, ctxs)
             if len(results) != len(batch):
                 raise RuntimeError(
-                    f"{self.name}: run_batch returned {len(results)} "
+                    f"{NAME}: run_batch returned {len(results)} "
                     f"results for {len(batch)} payloads"
                 )
         except BaseException as exc:  # noqa: BLE001 - routed to callers
-            self._metrics.inc(f"serving.{self.name}.batch_errors")
+            self._metrics.inc(f"serving.{NAME}.batch_errors")
             for _payload, future, _ctx in batch:
                 if not future.done():
                     future.set_exception(exc)
@@ -291,10 +263,10 @@ class MicroBatcher:
                 future.set_result(result)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._batches += 1
-        self._metrics.inc(f"serving.{self.name}.batches")
-        self._metrics.observe(f"serving.{self.name}.batch_size", len(batch))
+        self._metrics.inc(f"serving.{NAME}.batches")
+        self._metrics.observe(f"serving.{NAME}.batch_size", len(batch))
         self._metrics.observe(
-            f"serving.{self.name}.batch_latency_ms", elapsed_ms
+            f"serving.{NAME}.batch_latency_ms", elapsed_ms
         )
 
     def _loop(self) -> None:
@@ -330,6 +302,5 @@ class MicroBatcher:
             "timeouts": self._timeouts,
             "queue_depth": len(self._pending),
             "max_batch_size": self.max_batch_size,
-            "max_wait_us": int(round(self.max_wait_s * 1e6)),
             "closed": self.closed,
         }

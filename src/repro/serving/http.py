@@ -197,7 +197,9 @@ class ServingHandler(BaseHTTPRequestHandler):
         payload = self._read_json()
         timeout = payload.get("timeout")
         if "input" in payload:
-            prediction = service.classify(payload["input"], timeout=timeout)
+            prediction = service.classify_many(
+                [payload["input"]], timeout=timeout
+            )[0]
             return {"prediction": prediction.to_dict()}
         if "inputs" in payload:
             predictions = service.classify_many(

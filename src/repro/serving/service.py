@@ -3,11 +3,11 @@
 :class:`InferenceService` owns a trained classifier and exposes the four
 operations the HTTP layer (and tests, which drive it in-process) need:
 
-* :meth:`classify` / :meth:`classify_many` — single-example requests flow
-  through an LRU **prediction cache** and, on a miss, the
+* :meth:`classify_many` — every example of a request is looked up in an
+  LRU **prediction cache**; the misses go together to the
   :class:`~repro.serving.batching.MicroBatcher`, which coalesces
   concurrent requests into one batched forward pass through the
-  pooled-workspace kernels;
+  pooled-workspace kernels.  A single example is a batch of one;
 * :meth:`audit` — robust accuracy of the served model under any attack
   from the registry's ``name:param=value`` spec grammar;
 * :meth:`healthz` / :meth:`metrics` — liveness and the process-wide
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,7 @@ from ..eval.robustness import clean_accuracy, robust_accuracy
 from ..nn import Module
 from ..runtime import compute_dtype
 from ..utils.lru import LRUCache
-from .batching import MicroBatcher, RequestTimeout
+from .batching import MicroBatcher
 
 __all__ = ["InferenceService", "Prediction"]
 
@@ -81,11 +80,11 @@ class InferenceService:
         while served — the prediction cache assumes frozen parameters).
     input_shape:
         Per-example shape the model expects (channels, height, width).
-    max_batch_size / max_wait_us / queue_depth:
-        Micro-batching window and admission bound, forwarded to
+    max_batch_size / queue_depth:
+        Micro-batch bound and admission bound, forwarded to
         :class:`~repro.serving.batching.MicroBatcher`.
     timeout_s:
-        Default per-request deadline for :meth:`classify`.
+        Default per-request deadline for :meth:`classify_many`.
     cache_size:
         Prediction-cache capacity in entries; 0 disables caching.
     epsilon:
@@ -102,7 +101,6 @@ class InferenceService:
         *,
         input_shape: Tuple[int, ...] = (1, 28, 28),
         max_batch_size: int = 32,
-        max_wait_us: int = 0,
         queue_depth: int = 256,
         timeout_s: float = 30.0,
         cache_size: int = 4096,
@@ -127,9 +125,7 @@ class InferenceService:
         self._batcher = MicroBatcher(
             self._infer_batch,
             max_batch_size=max_batch_size,
-            max_wait_us=max_wait_us,
             queue_depth=queue_depth,
-            name="classify",
         )
 
     # -- signatures and keys ---------------------------------------------
@@ -151,25 +147,13 @@ class InferenceService:
         return digest.digest()
 
     # -- input coercion ---------------------------------------------------
-    def coerce(self, data) -> np.ndarray:
-        """Coerce one example to the model's input shape and dtype.
+    def coerce_batch(self, data) -> np.ndarray:
+        """Coerce a batch to ``(N, *input_shape)``.
 
         Accepts the exact per-example shape or anything with the right
-        number of elements (e.g. a flat 784-vector for 1x28x28 inputs).
+        number of elements per example (e.g. flat 784-vectors for 1x28x28
+        inputs).
         """
-        arr = np.asarray(data, dtype=self._dtype)
-        if arr.shape != self.input_shape:
-            expected = int(np.prod(self.input_shape))
-            if arr.size != expected:
-                raise ValueError(
-                    f"input has {arr.size} elements; expected shape "
-                    f"{self.input_shape} ({expected} elements)"
-                )
-            arr = arr.reshape(self.input_shape)
-        return np.ascontiguousarray(arr)
-
-    def coerce_batch(self, data) -> np.ndarray:
-        """Coerce a batch to ``(N, *input_shape)``."""
         arr = np.asarray(data, dtype=self._dtype)
         if arr.ndim == 1 or arr.shape[1:] != self.input_shape:
             per = int(np.prod(self.input_shape))
@@ -196,33 +180,10 @@ class InferenceService:
         ]
 
     # -- classify ---------------------------------------------------------
-    def classify(self, data, timeout: Optional[float] = None) -> Prediction:
-        """Serve one example: cache lookup, then the micro-batched path.
-
-        Raises :class:`~repro.serving.batching.QueueFullError` when shed,
-        :class:`~repro.serving.batching.RequestTimeout` past the deadline
-        and :class:`~repro.serving.batching.ServiceClosed` after
-        :meth:`close`.
-        """
-        started = time.perf_counter()
-        example = self.coerce(data)
-        key = self._cache_key(example)
-        cached = self._cache_get(key)
-        if cached is not None:
-            label, probs = cached
-            self._observe_request(started, cached=True)
-            return Prediction(label, probs.copy(), True)
-        label, probs = self._batcher.run(
-            example, self.timeout_s if timeout is None else timeout
-        )
-        self._cache_put(key, (label, probs))
-        self._observe_request(started, cached=False)
-        return Prediction(label, probs.copy(), False)
-
     def classify_many(
         self, data, timeout: Optional[float] = None
     ) -> List[Prediction]:
-        """Serve a client-side batch.
+        """Serve a client-side batch; one example is a batch of one.
 
         Every example is hashed and looked up first; cache hits are
         answered immediately.  The misses are then admitted together
@@ -231,11 +192,13 @@ class InferenceService:
         all-or-nothing, so an overloaded service sheds the request before
         any of its work is queued.  Results are gathered under one
         deadline.
+
+        Raises :class:`~repro.serving.batching.QueueFullError` when shed,
+        :class:`~repro.serving.batching.RequestTimeout` past the deadline
+        and :class:`~repro.serving.batching.ServiceClosed` after
+        :meth:`close`.
         """
         batch = self.coerce_batch(data)
-        deadline = time.perf_counter() + (
-            self.timeout_s if timeout is None else timeout
-        )
         results: List[Optional[Prediction]] = [None] * batch.shape[0]
         misses: List[Tuple[int, bytes]] = []
         for index in range(batch.shape[0]):
@@ -250,14 +213,10 @@ class InferenceService:
                 misses.append((index, key))
         admitted = time.perf_counter()
         futures = self._batcher.submit_many([batch[i] for i, _ in misses])
-        for (index, key), future in zip(misses, futures):
-            remaining = max(deadline - time.perf_counter(), 0.0)
-            try:
-                label, probs = future.result(remaining)
-            except FutureTimeout:
-                raise RequestTimeout(
-                    "classify: no result within the batch deadline"
-                ) from None
+        answers = self._batcher.gather(
+            futures, self.timeout_s if timeout is None else timeout
+        )
+        for (index, key), (label, probs) in zip(misses, answers):
             self._cache_put(key, (label, probs))
             results[index] = Prediction(label, probs.copy(), False)
             self._observe_request(admitted, cached=False)

@@ -8,6 +8,7 @@ from repro.data import DataLoader
 from repro.defenses import PgdAdvTrainer, build_trainer
 from repro.models import mnist_mlp
 from repro.optim import Adam
+from tests.helpers import passes_per_batch
 
 
 def make_trainer(**kwargs):
@@ -51,13 +52,22 @@ class TestTraining:
         assert adv_acc > 0.08  # undefended would be ~0
 
     def test_cost_similar_to_bim_adv(self, digits_small):
+        """PGD(5)-Adv pays BIM(5)-Adv's price: 5 attack + 1 training
+        backward pass per batch (the random start costs no pass)."""
         from repro.defenses import IterAdvTrainer
 
         train, _ = digits_small
         loader = DataLoader(train, batch_size=64, rng=0)
-        t_pgd = make_trainer(num_steps=5).fit(loader, epochs=2).time_per_epoch
+        assert len(loader) > 1
+        pgd = passes_per_batch(
+            make_trainer(num_steps=5, warmup_epochs=0, rng=0), loader
+        )
         model = mnist_mlp(seed=0)
-        t_bim = IterAdvTrainer(
-            model, Adam(model.parameters()), epsilon=0.2, num_steps=5
-        ).fit(loader, epochs=2).time_per_epoch
-        assert 0.5 < t_pgd / t_bim < 2.0
+        bim = passes_per_batch(
+            IterAdvTrainer(
+                model, Adam(model.parameters()), epsilon=0.2, num_steps=5,
+                warmup_epochs=0,
+            ),
+            loader,
+        )
+        assert pgd["backward"] == bim["backward"] == 6

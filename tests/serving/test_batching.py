@@ -44,23 +44,22 @@ class _GatedRunner:
 class TestBatching:
     def test_single_request_roundtrip(self):
         runner = _GatedRunner()
-        batcher = MicroBatcher(runner, max_batch_size=4, max_wait_us=100)
+        batcher = MicroBatcher(runner, max_batch_size=4)
         try:
-            assert batcher.run(7, timeout=5.0) == ("ok", 7)
+            futures = batcher.submit_many([7])
+            assert batcher.gather(futures, timeout=5.0) == [("ok", 7)]
         finally:
             batcher.close()
 
     def test_queued_requests_coalesce_into_one_batch(self):
         runner = _GatedRunner(calls_to_block=1)
-        batcher = MicroBatcher(
-            runner, max_batch_size=8, max_wait_us=200_000, queue_depth=16
-        )
+        batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=16)
         try:
-            first = batcher.submit(0)
+            (first,) = batcher.submit_many([0])
             assert runner.entered.wait(timeout=5.0)
             # The worker is blocked inside batch #1; these queue up behind
             # it and must coalesce into a single batch #2.
-            rest = [batcher.submit(i) for i in (1, 2, 3)]
+            rest = [batcher.submit_many([i])[0] for i in (1, 2, 3)]
             runner.release.set()
             assert first.result(timeout=5.0) == ("ok", 0)
             assert [f.result(timeout=5.0) for f in rest] == [
@@ -72,29 +71,26 @@ class TestBatching:
 
     def test_max_batch_size_bounds_coalescing(self):
         runner = _GatedRunner(calls_to_block=1)
-        batcher = MicroBatcher(
-            runner, max_batch_size=2, max_wait_us=200_000, queue_depth=16
-        )
+        batcher = MicroBatcher(runner, max_batch_size=2, queue_depth=16)
         try:
-            futures = [batcher.submit(0)]
+            futures = batcher.submit_many([0])
             assert runner.entered.wait(timeout=5.0)
-            futures.extend(batcher.submit(i) for i in (1, 2, 3, 4))
+            for i in (1, 2, 3, 4):
+                futures.extend(batcher.submit_many([i]))
             runner.release.set()
             for i, future in enumerate(futures):
                 assert future.result(timeout=5.0) == ("ok", i)
-            assert all(len(batch) <= 2 for batch in runner.batches)
+            assert runner.batches == [[0], [1, 2], [3, 4]]
         finally:
             batcher.close()
 
     def test_results_keep_request_order_within_batch(self):
         runner = _GatedRunner(calls_to_block=1)
-        batcher = MicroBatcher(
-            runner, max_batch_size=16, max_wait_us=200_000, queue_depth=32
-        )
+        batcher = MicroBatcher(runner, max_batch_size=16, queue_depth=32)
         try:
-            head = batcher.submit("head")
+            (head,) = batcher.submit_many(["head"])
             assert runner.entered.wait(timeout=5.0)
-            futures = {i: batcher.submit(i) for i in range(10)}
+            futures = {i: batcher.submit_many([i])[0] for i in range(10)}
             runner.release.set()
             head.result(timeout=5.0)
             for i, future in futures.items():
@@ -106,15 +102,13 @@ class TestBatching:
 class TestBackpressure:
     def test_full_queue_sheds_with_documented_error(self):
         runner = _GatedRunner(calls_to_block=1)
-        batcher = MicroBatcher(
-            runner, max_batch_size=1, max_wait_us=0, queue_depth=2
-        )
+        batcher = MicroBatcher(runner, max_batch_size=1, queue_depth=2)
         try:
-            blocked = batcher.submit("in-flight")
+            (blocked,) = batcher.submit_many(["in-flight"])
             assert runner.entered.wait(timeout=5.0)
-            queued = [batcher.submit(i) for i in range(2)]  # fills the queue
+            queued = batcher.submit_many([0, 1])  # fills the queue
             with pytest.raises(QueueFullError) as excinfo:
-                batcher.submit("one too many")
+                batcher.submit_many(["one too many"])
             assert excinfo.value.code == "overloaded"
             assert excinfo.value.status == 429
             assert batcher.stats["shed"] == 1
@@ -129,10 +123,13 @@ class TestBackpressure:
         runner = _GatedRunner(calls_to_block=1)
         batcher = MicroBatcher(runner, max_batch_size=1, queue_depth=4)
         try:
+            futures = batcher.submit_many(["slow", "late"])
             with pytest.raises(RequestTimeout) as excinfo:
-                batcher.run("slow", timeout=0.05)
+                batcher.gather(futures, timeout=0.05)
             assert excinfo.value.code == "timeout"
             assert excinfo.value.status == 504
+            # One late group is one timeout, however many results it lacks.
+            assert batcher.stats["timeouts"] == 1
         finally:
             runner.release.set()
             batcher.close()
@@ -143,11 +140,11 @@ class TestBackpressure:
 
         batcher = MicroBatcher(explode, max_batch_size=4, queue_depth=8)
         try:
-            future = batcher.submit(1)
+            (future,) = batcher.submit_many([1])
             with pytest.raises(RuntimeError, match="model on fire"):
                 future.result(timeout=5.0)
             # The worker survives a failing batch and serves the next one.
-            future = batcher.submit(2)
+            (future,) = batcher.submit_many([2])
             with pytest.raises(RuntimeError, match="model on fire"):
                 future.result(timeout=5.0)
         finally:
@@ -158,17 +155,13 @@ class TestBackpressure:
             MicroBatcher(lambda p: p, max_batch_size=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda p: p, queue_depth=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda p: p, max_wait_us=-1)
 
 
 class TestShutdown:
     def test_graceful_close_completes_in_flight_requests(self):
         runner = _GatedRunner(calls_to_block=1)
-        batcher = MicroBatcher(
-            runner, max_batch_size=4, max_wait_us=0, queue_depth=32
-        )
-        in_flight = [batcher.submit(i) for i in range(6)]
+        batcher = MicroBatcher(runner, max_batch_size=4, queue_depth=32)
+        in_flight = batcher.submit_many(list(range(6)))
         assert runner.entered.wait(timeout=5.0)
         closer = threading.Thread(target=batcher.close)
         closer.start()
@@ -184,7 +177,7 @@ class TestShutdown:
         batcher = MicroBatcher(lambda p: list(p), max_batch_size=2)
         batcher.close()
         with pytest.raises(ServiceClosed) as excinfo:
-            batcher.submit(1)
+            batcher.submit_many([1])
         assert excinfo.value.code == "shutting_down"
         assert excinfo.value.status == 503
 
@@ -196,14 +189,6 @@ class TestShutdown:
 
 
 class TestGroupAdmission:
-    def test_default_window_is_work_conserving(self):
-        batcher = MicroBatcher(lambda p: list(p))
-        try:
-            assert batcher.max_wait_s == 0
-            assert batcher.stats["max_wait_us"] == 0
-        finally:
-            batcher.close()
-
     def test_group_on_idle_batcher_forms_one_batch(self):
         runner = _GatedRunner()
         batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=16)
@@ -222,7 +207,7 @@ class TestGroupAdmission:
         runner = _GatedRunner(calls_to_block=1)
         batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=16)
         try:
-            head = batcher.submit("head")
+            (head,) = batcher.submit_many(["head"])
             assert runner.entered.wait(timeout=5.0)
             group = batcher.submit_many(list(range(5)))
             assert batcher.stats["queue_depth"] == 5
@@ -250,7 +235,7 @@ class TestGroupAdmission:
         runner = _GatedRunner(calls_to_block=1)
         batcher = MicroBatcher(runner, max_batch_size=8, queue_depth=4)
         try:
-            head = batcher.submit("head")
+            (head,) = batcher.submit_many(["head"])
             assert runner.entered.wait(timeout=5.0)
             queued = batcher.submit_many(["a", "b"])
             with pytest.raises(QueueFullError) as excinfo:

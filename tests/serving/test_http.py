@@ -12,6 +12,7 @@ from repro.models import build_model
 from repro.serving import (
     InferenceService,
     QueueFullError,
+    RequestTimeout,
     ServiceClosed,
     start_server,
 )
@@ -25,7 +26,7 @@ def served():
     """One shared server for the module: (base_url, service, server)."""
     service = InferenceService(
         build_model("small_cnn", seed=0),
-        max_batch_size=8, max_wait_us=500, cache_size=64,
+        max_batch_size=8, cache_size=64,
         name="small_cnn",
     )
     server = start_server(service, host="127.0.0.1", port=0)
@@ -137,7 +138,7 @@ class TestErrorMapping:
         def shed(*args, **kwargs):
             raise QueueFullError("request queue is full; request shed")
 
-        monkeypatch.setattr(service, "classify", shed)
+        monkeypatch.setattr(service, "classify_many", shed)
         error = _post_error(
             f"{base}/classify", {"input": [0.0] * 784}
         )
@@ -150,12 +151,25 @@ class TestErrorMapping:
         def closed(*args, **kwargs):
             raise ServiceClosed("batcher is shut down")
 
-        monkeypatch.setattr(service, "classify", closed)
+        monkeypatch.setattr(service, "classify_many", closed)
         error = _post_error(
             f"{base}/classify", {"input": [0.0] * 784}
         )
         assert error.code == 503
         assert json.loads(error.read())["error"] == "shutting_down"
+
+    def test_timeout_maps_to_504(self, served, monkeypatch):
+        base, service, _server = served
+
+        def late(*args, **kwargs):
+            raise RequestTimeout("1 of 1 result(s) missed the deadline")
+
+        monkeypatch.setattr(service, "classify_many", late)
+        error = _post_error(
+            f"{base}/classify", {"inputs": [[0.0] * 784]}
+        )
+        assert error.code == 504
+        assert json.loads(error.read())["error"] == "timeout"
 
 
 class TestOpenMetrics:
