@@ -6,7 +6,7 @@ The package is organised bottom-up:
 
 * :mod:`repro.autograd` — numpy reverse-mode automatic differentiation.
 * :mod:`repro.nn` — neural-network layers, losses, module system.
-* :mod:`repro.optim` — optimizers and LR schedulers.
+* :mod:`repro.optim` — optimizers.
 * :mod:`repro.data` — datasets, loaders, synthetic MNIST/Fashion stand-ins.
 * :mod:`repro.models` — classifier architectures used in the experiments.
 * :mod:`repro.attacks` — FGSM / BIM / PGD / MIM white-box attacks.

@@ -17,24 +17,19 @@
 
 from .base import Attack, clip_to_box, project, project_linf
 from .bim import BIM
-from .deepfool import DeepFool
 from .fgsm import FGSM
 from .loop import (
     AttackLoop,
     BackpropGradient,
     BoxProjection,
-    ClassGradients,
     GradientEstimator,
     GradientStep,
-    L2BoxProjection,
-    L2NormalizedStep,
     LinfBoxProjection,
     LoopState,
     Misclassified,
     MomentumSignStep,
     SignStep,
     SpsaGradient,
-    UniformL2Init,
     UniformLinfInit,
     zero_init,
 )
@@ -42,7 +37,6 @@ from .losses import margin_loss
 from .mim import MIM
 from .noise import RandomNoise
 from .pgd import PGD
-from .pgd_l2 import PGDL2, project_l2
 from .registry import (
     AttackSpec,
     attack_names,
@@ -58,13 +52,10 @@ __all__ = [
     "clip_to_box",
     "project",
     "project_linf",
-    "project_l2",
     "FGSM",
     "BIM",
     "PGD",
-    "PGDL2",
     "MIM",
-    "DeepFool",
     "SPSA",
     "RandomNoise",
     "margin_loss",
@@ -75,16 +66,12 @@ __all__ = [
     "GradientEstimator",
     "BackpropGradient",
     "SpsaGradient",
-    "ClassGradients",
     "SignStep",
-    "L2NormalizedStep",
     "MomentumSignStep",
     "LinfBoxProjection",
-    "L2BoxProjection",
     "BoxProjection",
     "Misclassified",
     "UniformLinfInit",
-    "UniformL2Init",
     "zero_init",
     # registry
     "AttackSpec",

@@ -136,12 +136,7 @@ class Attack:
 
     # ------------------------------------------------------------------
     def input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of the loss w.r.t. the input batch.
-
-        The model is evaluated in its current training mode; callers should
-        normally put the model in eval mode first (attacks against dropout
-        noise are not what the paper studies).
-        """
+        """Gradient of the loss w.r.t. the input batch."""
         # No dtype cast: perturbation math runs in the input's own floating
         # dtype (the policy decides it upstream, when the batch is created).
         x_tensor = Tensor(ensure_float_array(x), requires_grad=True)

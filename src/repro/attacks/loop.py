@@ -5,8 +5,8 @@ different hat::
 
     x_0 = initializer(x)
     for i in 0..N-1:
-        g   = gradient(x_i, y)          # backprop, SPSA, per-class, ...
-        d   = step_rule(g)              # sign, l2-normalised, momentum, ...
+        g   = gradient(x_i, y)          # backprop or SPSA
+        d   = step_rule(g)              # sign or momentum
         x'  = x_i + direction * d
         x_{i+1} = projection(x', x)     # fused norm-ball + box clip
         [stop examples the attack already fooled]
@@ -15,17 +15,15 @@ different hat::
 this package are thin declarative compositions of four pluggable pieces:
 
 * **initializers** — where the iterate starts (:func:`zero_init`,
-  :class:`UniformLinfInit`, :class:`UniformL2Init`, or a carried iterate
-  passed via ``start=`` for the epoch-wise defense);
-* **gradient estimators** — :class:`BackpropGradient` (white-box),
-  :class:`SpsaGradient` (finite differences, no backprop) and
-  :class:`ClassGradients` (per-class linearisation for DeepFool), all
-  behind the same :class:`GradientEstimator` interface;
-* **step rules** — :class:`SignStep`, :class:`L2NormalizedStep`,
-  :class:`MomentumSignStep`;
-* **projections** — :class:`LinfBoxProjection`, :class:`L2BoxProjection`,
-  :class:`BoxProjection`, each fusing the norm-ball projection and the
-  image-box clip into one in-place pass over the moved iterate.
+  :class:`UniformLinfInit`, or a carried iterate passed via ``start=``
+  for the epoch-wise defense);
+* **gradient estimators** — :class:`BackpropGradient` (white-box) and
+  :class:`SpsaGradient` (finite differences, no backprop), both behind
+  the same :class:`GradientEstimator` interface;
+* **step rules** — :class:`SignStep`, :class:`MomentumSignStep`;
+* **projections** — :class:`LinfBoxProjection` (the l_inf-ball
+  projection and the image-box clip fused into one in-place pass over
+  the moved iterate) and :class:`BoxProjection` (the box clip alone).
 
 The backprop estimators take input gradients only: they run their forward
 and backward inside :func:`~repro.attacks.base.frozen_parameters`, so an
@@ -69,29 +67,17 @@ __all__ = [
     "LoopState",
     "zero_init",
     "UniformLinfInit",
-    "UniformL2Init",
     "GradientEstimator",
     "BackpropGradient",
     "SpsaGradient",
-    "ClassGradients",
     "SignStep",
-    "L2NormalizedStep",
     "MomentumSignStep",
     "LinfBoxProjection",
-    "L2BoxProjection",
     "BoxProjection",
     "Misclassified",
     "GradientStep",
     "AttackLoop",
-    "normalize_l2",
 ]
-
-
-def normalize_l2(grad: np.ndarray) -> np.ndarray:
-    """Scale each example's gradient to unit l2 norm."""
-    flat = grad.reshape(len(grad), -1)
-    norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-12)
-    return (flat / norms[:, None]).reshape(grad.shape)
 
 
 class LoopState:
@@ -99,9 +85,6 @@ class LoopState:
 
     Attributes
     ----------
-    step:
-        Global iteration index (0-based); rules that escalate over time
-        (DeepFool's overshoot growth) key off it.
     indices:
         Dataset-row indices of the currently active examples, or ``None``
         when the whole batch is active (the no-masking fast path).  Step
@@ -117,10 +100,9 @@ class LoopState:
         Scratch dict for step-rule state (e.g. the momentum buffer).
     """
 
-    __slots__ = ("step", "indices", "logits", "batch_shape", "dtype", "extra")
+    __slots__ = ("indices", "logits", "batch_shape", "dtype", "extra")
 
     def __init__(self, batch_shape=None, dtype=None) -> None:
-        self.step = 0
         self.indices: Optional[np.ndarray] = None
         self.logits: Optional[np.ndarray] = None
         self.batch_shape = batch_shape
@@ -151,32 +133,6 @@ class UniformLinfInit:
             -self.epsilon, self.epsilon, size=x.shape
         ).astype(x.dtype, copy=False)
         return np.clip(x + noise, self.clip_min, self.clip_max)
-
-
-class UniformL2Init:
-    """Uniform random start inside the l2 ball (PGD-L2), box-clipped.
-
-    Draws a Gaussian direction, normalises it, and scales by a radius with
-    the density of a uniform draw from the ball interior.
-    """
-
-    def __init__(self, epsilon, rng, clip_min=0.0, clip_max=1.0) -> None:
-        self.epsilon = float(epsilon)
-        self.rng = rng
-        self.clip_min = float(clip_min)
-        self.clip_max = float(clip_max)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        direction = self.rng.normal(size=x.shape).astype(x.dtype, copy=False)
-        direction = normalize_l2(direction)
-        radii = (
-            self.epsilon
-            * self.rng.uniform(0, 1, size=(len(x),) + (1,) * (x.ndim - 1))
-            ** (1.0 / x[0].size)
-        ).astype(x.dtype, copy=False)
-        return np.clip(
-            x + direction * radii, self.clip_min, self.clip_max
-        )
 
 
 # ----------------------------------------------------------------------
@@ -260,33 +216,6 @@ class SpsaGradient(GradientEstimator):
         return estimate / self.samples
 
 
-class ClassGradients:
-    """Per-class input gradients (DeepFool's linearisation inputs).
-
-    ``__call__`` returns ``(logits, grads)`` with ``grads`` shaped
-    ``(N, C, *x.shape[1:])``; cost is one forward plus ``C``
-    forward/backward passes.
-    """
-
-    def __init__(self, model) -> None:
-        self.model = model
-
-    def __call__(self, x: np.ndarray, state: LoopState):
-        grads = []
-        with frozen_parameters(self.model):
-            x_tensor = Tensor(x, requires_grad=True)
-            logits = self.model(x_tensor)
-            num_classes = logits.shape[1]
-            logits_data = logits.data
-            for cls in range(num_classes):
-                x_t = Tensor(x, requires_grad=True)
-                out = self.model(x_t)
-                out[np.arange(len(x)), np.full(len(x), cls)].sum().backward()
-                grads.append(x_t.grad)
-        state.logits = logits_data
-        return logits_data, np.stack(grads, axis=1)
-
-
 # ----------------------------------------------------------------------
 # Step rules: gradient -> un-directed update vector.
 # ----------------------------------------------------------------------
@@ -299,16 +228,6 @@ class SignStep:
 
     def __call__(self, grad: np.ndarray, state: LoopState) -> np.ndarray:
         return self.step_size * np.sign(grad)
-
-
-class L2NormalizedStep:
-    """l2 steepest descent: a ``step_size``-long step along the gradient."""
-
-    def __init__(self, step_size: float) -> None:
-        self.step_size = float(step_size)
-
-    def __call__(self, grad: np.ndarray, state: LoopState) -> np.ndarray:
-        return self.step_size * normalize_l2(grad)
 
 
 class MomentumSignStep:
@@ -369,29 +288,8 @@ class LinfBoxProjection:
         )
 
 
-class L2BoxProjection:
-    """Project onto the l2 ball around ``x_orig``, then the image box."""
-
-    def __init__(self, epsilon, clip_min=0.0, clip_max=1.0) -> None:
-        self.epsilon = float(epsilon)
-        self.clip_min = float(clip_min)
-        self.clip_max = float(clip_max)
-
-    def __call__(self, moved: np.ndarray, x_orig: np.ndarray) -> np.ndarray:
-        delta = np.subtract(moved, x_orig, out=moved)
-        flat = delta.reshape(len(delta), -1)
-        norms = np.linalg.norm(flat, axis=1)
-        factors = np.ones_like(norms)
-        over = norms > self.epsilon
-        factors[over] = self.epsilon / norms[over]
-        flat *= factors[:, None]
-        np.add(delta, x_orig, out=delta)
-        np.clip(delta, self.clip_min, self.clip_max, out=delta)
-        return delta
-
-
 class BoxProjection:
-    """Image-box clip only (FGSM's single step, DeepFool, noise)."""
+    """Image-box clip only (FGSM's single step, noise)."""
 
     def __init__(self, clip_min=0.0, clip_max=1.0) -> None:
         self.clip_min = float(clip_min)
@@ -467,8 +365,7 @@ class AttackLoop:
         Victim classifier (used by stop conditions and restarts).
     step_fn:
         A :class:`GradientStep` (or anything implementing its
-        ``gradient``/``apply``/``__call__`` protocol, e.g. DeepFool's
-        linearisation step).
+        ``gradient``/``apply``/``__call__`` protocol).
     num_steps:
         Iteration budget.
     initializer:
@@ -566,8 +463,7 @@ class AttackLoop:
         state = LoopState(batch_shape=x_orig.shape, dtype=x_orig.dtype)
         if self.early_stop and self.stop is not None:
             return self._run_masked(x_orig, y, x_adv, state, intermediates)
-        for step in range(self.num_steps):
-            state.step = step
+        for _ in range(self.num_steps):
             state.logits = None
             x_adv = self.step_fn(x_adv, x_orig, y, state)
             if intermediates is not None:
@@ -590,11 +486,10 @@ class AttackLoop:
         active = np.arange(n)
         iterations = 0
         retired_total = 0
-        for step in range(self.num_steps):
+        for _ in range(self.num_steps):
             if active.size == 0:
                 break
             iterations += 1
-            state.step = step
             state.logits = None
             full = active.size == n
             if full:

@@ -15,26 +15,23 @@ single spec string builds any attack against any model:
 * ``"clean"`` / ``"none"`` — the no-attack baseline (resolves to ``None``,
   which evaluators treat as clean accuracy).
 
-``epsilon`` deserves a note: most attacks require a budget, but the right
+``epsilon`` deserves a note: every attack requires a budget, but the right
 value is experiment-wide (0.25 digits / 0.2 fashion), so ``build_attack``
 accepts it as a keyword default that a spec's explicit ``epsilon=...``
-overrides.  Attacks that take no budget (DeepFool) simply never receive
-it.
+overrides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .base import Attack
 from .bim import BIM
-from .deepfool import DeepFool
 from .fgsm import FGSM
 from .mim import MIM
 from .noise import RandomNoise
 from .pgd import PGD
-from .pgd_l2 import PGDL2
 from .spsa import SPSA
 
 __all__ = [
@@ -70,7 +67,6 @@ class AttackSpec:
 @dataclass(frozen=True)
 class _Entry:
     cls: type
-    needs_epsilon: bool = True
     defaults: Tuple[Tuple[str, object], ...] = ()
 
 
@@ -78,22 +74,14 @@ _REGISTRY: Dict[str, _Entry] = {}
 _ALIASES: Dict[str, AttackSpec] = {}
 
 
-def register_attack(
-    name: str,
-    cls: type,
-    *,
-    needs_epsilon: bool = True,
-    **defaults,
-) -> type:
+def register_attack(name: str, cls: type, **defaults) -> type:
     """Register an attack class under a canonical name.
 
     ``defaults`` are constructor keywords applied before any spec params;
     use :func:`register_alias` for parameterised shorthands instead.
     """
     key = name.strip().lower()
-    _REGISTRY[key] = _Entry(
-        cls, needs_epsilon=needs_epsilon, defaults=tuple(defaults.items())
-    )
+    _REGISTRY[key] = _Entry(cls, defaults=tuple(defaults.items()))
     return cls
 
 
@@ -190,8 +178,8 @@ def build_attack(
     model:
         Victim classifier the attack is bound to.
     epsilon:
-        Experiment-wide budget, used when the attack needs one and the
-        spec does not name it explicitly.
+        Experiment-wide budget, used when the spec does not name one
+        explicitly.
     overrides:
         Extra constructor keywords (e.g. ``loss_fn=margin_loss``); spec
         params take precedence over these.
@@ -212,18 +200,15 @@ def build_attack(
     kwargs: Dict[str, object] = dict(entry.defaults)
     kwargs.update(overrides)
     kwargs.update(parsed.params)
-    if entry.needs_epsilon:
-        budget = kwargs.pop("epsilon", None)
-        if budget is None:
-            budget = epsilon
-        if budget is None:
-            raise ValueError(
-                f"attack {parsed.name!r} needs an epsilon; pass it in the "
-                f"spec ('{parsed.name}:epsilon=0.25') or as a keyword"
-            )
-        return entry.cls(model, budget, **kwargs)
-    kwargs.pop("epsilon", None)
-    return entry.cls(model, **kwargs)
+    budget = kwargs.pop("epsilon", None)
+    if budget is None:
+        budget = epsilon
+    if budget is None:
+        raise ValueError(
+            f"attack {parsed.name!r} needs an epsilon; pass it in the "
+            f"spec ('{parsed.name}:epsilon=0.25') or as a keyword"
+        )
+    return entry.cls(model, budget, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -232,13 +217,10 @@ def build_attack(
 register_attack("fgsm", FGSM)
 register_attack("bim", BIM)
 register_attack("pgd", PGD)
-register_attack("pgd_l2", PGDL2)
 register_attack("mim", MIM)
 register_attack("spsa", SPSA)
-register_attack("deepfool", DeepFool, needs_epsilon=False)
 register_attack("noise", RandomNoise)
 
-register_alias("pgdl2", "pgd_l2")
 register_alias("random_noise", "noise")
 register_alias("bim10", "bim:num_steps=10")
 register_alias("bim30", "bim:num_steps=30")

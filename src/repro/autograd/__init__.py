@@ -46,7 +46,6 @@ from .ops_loss import softmax_cross_entropy
 from .ops_nn import (
     avg_pool2d,
     conv2d,
-    dropout_mask,
     leaky_relu,
     log_softmax,
     matmul,
@@ -104,7 +103,6 @@ __all__ = [
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
-    "dropout_mask",
     # loss
     "softmax_cross_entropy",
     # reduce

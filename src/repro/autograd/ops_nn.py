@@ -44,7 +44,6 @@ __all__ = [
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
-    "dropout_mask",
 ]
 
 
@@ -441,20 +440,6 @@ class AvgPool2d(Function):
         return (grad_x,)
 
 
-class DropoutMask(Function):
-    """Multiply by a fixed (pre-drawn) mask; used by the Dropout layer."""
-
-    @staticmethod
-    def forward(ctx, a, mask):
-        ctx.save_for_backward(mask)
-        return a * mask
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        (mask,) = ctx.saved
-        return (grad_output * mask if ctx.needs(0) else None, None)
-
-
 # ----------------------------------------------------------------------
 # public functional API
 # ----------------------------------------------------------------------
@@ -515,11 +500,6 @@ def avg_pool2d(x, kernel_size: int = 2, stride=None, padding: int = 0):
     return AvgPool2d.apply(
         as_tensor(x), kernel_size=kernel_size, stride=stride, padding=padding
     )
-
-
-def dropout_mask(a, mask):
-    """Apply a precomputed dropout mask (already scaled by 1/keep_prob)."""
-    return DropoutMask.apply(as_tensor(a), np.asarray(mask))
 
 
 Tensor.__matmul__ = matmul

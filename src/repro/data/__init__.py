@@ -1,13 +1,6 @@
-"""Data pipeline: datasets, loaders, transforms, synthetic generators."""
+"""Data pipeline: datasets, loaders, sources, synthetic generators."""
 
-from .corruptions import CORRUPTIONS, corrupt, corruption_sweep
-from .dataset import (
-    ConcatDataset,
-    Dataset,
-    Subset,
-    TensorDataset,
-    train_test_split,
-)
+from .dataset import Dataset, TensorDataset
 from .loader import Batch, DataLoader
 from .source import (
     DEFAULT_SHARD_SIZE,
@@ -24,20 +17,10 @@ from .synthetic import (
     load_dataset,
     load_test_split,
 )
-from .transforms import (
-    ClipToUnit,
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomShift,
-)
 
 __all__ = [
     "Dataset",
     "TensorDataset",
-    "Subset",
-    "ConcatDataset",
-    "train_test_split",
     "Batch",
     "DataLoader",
     "DataSource",
@@ -51,12 +34,4 @@ __all__ = [
     "load_dataset",
     "load_test_split",
     "dataset_epsilon",
-    "Compose",
-    "Normalize",
-    "ClipToUnit",
-    "GaussianNoise",
-    "RandomShift",
-    "CORRUPTIONS",
-    "corrupt",
-    "corruption_sweep",
 ]

@@ -2,22 +2,16 @@
 
 A dataset is an indexable collection of ``(example, label)`` pairs.  The
 concrete synthetic datasets live in :mod:`repro.data.synthetic`; this module
-provides the generic containers used to slice, combine and wrap them.
+provides the abstract base and the in-memory container they build on.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "TensorDataset",
-    "Subset",
-    "ConcatDataset",
-    "train_test_split",
-]
+__all__ = ["Dataset", "TensorDataset"]
 
 
 class Dataset:
@@ -71,83 +65,3 @@ class TensorDataset(Dataset):
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the dataset as ``(examples, labels)`` arrays."""
         return self.examples, self.labels
-
-
-class Subset(Dataset):
-    """View over a subset of another dataset selected by indices."""
-
-    def __init__(self, dataset: Dataset, indices: Sequence[int]) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= len(dataset)
-        ):
-            raise IndexError("subset indices out of range")
-        self.dataset = dataset
-        self.indices = indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        return self.dataset[int(self.indices[index])]
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialise via one fancy-index of the parent's arrays.
-
-        The base implementation walks ``__getitem__`` example by example
-        (O(N) Python-level loop plus an ``np.stack``); selecting from the
-        parent's materialised arrays does the same gather in one
-        vectorised call.
-        """
-        examples, labels = self.dataset.arrays()
-        return examples[self.indices], labels[self.indices]
-
-
-class ConcatDataset(Dataset):
-    """Concatenation of several datasets."""
-
-    def __init__(self, datasets: Sequence[Dataset]) -> None:
-        if not datasets:
-            raise ValueError("ConcatDataset requires at least one dataset")
-        self.datasets = list(datasets)
-        self._offsets = np.cumsum([len(d) for d in self.datasets])
-
-    def __len__(self) -> int:
-        return int(self._offsets[-1])
-
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"index {index} out of range")
-        dataset_idx = int(np.searchsorted(self._offsets, index, side="right"))
-        prior = 0 if dataset_idx == 0 else int(self._offsets[dataset_idx - 1])
-        return self.datasets[dataset_idx][index - prior]
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialise by concatenating each member's arrays.
-
-        One ``np.concatenate`` over the members' (already vectorised)
-        arrays instead of the base class's per-example Python loop.
-        """
-        parts = [dataset.arrays() for dataset in self.datasets]
-        return (
-            np.concatenate([x for x, _ in parts]),
-            np.concatenate([y for _, y in parts]),
-        )
-
-
-def train_test_split(
-    dataset: Dataset, test_fraction: float = 0.2, rng=None
-) -> Tuple[Subset, Subset]:
-    """Random split of a dataset into train and test subsets."""
-    from ..utils.rng import ensure_rng
-
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(
-            f"test_fraction must lie in (0, 1), got {test_fraction}"
-        )
-    generator = ensure_rng(rng)
-    order = generator.permutation(len(dataset))
-    n_test = max(1, int(round(len(dataset) * test_fraction)))
-    return Subset(dataset, order[n_test:]), Subset(dataset, order[:n_test])

@@ -14,7 +14,6 @@ canonical names is :func:`defense_names`.
 
 from .adversarial import FgsmAdvTrainer, IterAdvTrainer, MixedAdversarialTrainer
 from .atda import AtdaTrainer
-from .callbacks import Checkpointer, EarlyStopping
 from .domain_adaptation import (
     ClassCenters,
     coral_loss,
@@ -33,7 +32,6 @@ from .registry import (
     defense_names,
     register_defense,
 )
-from .trades import TradesTrainer, kl_divergence
 from .trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -46,10 +44,6 @@ __all__ = [
     "EpochwiseAdvTrainer",
     "FreeAdvTrainer",
     "PgdAdvTrainer",
-    "Checkpointer",
-    "EarlyStopping",
-    "TradesTrainer",
-    "kl_divergence",
     "LabelSmoothingTrainer",
     "ClassCenters",
     "covariance",

@@ -54,13 +54,12 @@ class MixedAdversarialTrainer(Trainer):
         model: Module,
         optimizer: Optimizer,
         loss_fn: Callable = cross_entropy,
-        scheduler=None,
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
         rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            model, optimizer, loss_fn=loss_fn,
             warmup_epochs=warmup_epochs, rng=rng,
         )
         check_in_unit_interval("clean_weight", clean_weight)

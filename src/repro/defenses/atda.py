@@ -73,11 +73,10 @@ class AtdaTrainer(Trainer):
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
-        scheduler=None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            model, optimizer, loss_fn=loss_fn,
             warmup_epochs=warmup_epochs, rng=rng,
         )
         if not hasattr(model, "embed"):

@@ -58,7 +58,7 @@ class EpochwiseAdvTrainer(MixedAdversarialTrainer):
 
     Parameters
     ----------
-    model, optimizer, loss_fn, scheduler, warmup_epochs:
+    model, optimizer, loss_fn, warmup_epochs:
         As in :class:`~repro.defenses.trainer.Trainer`.
     epsilon:
         Total l_inf budget; cached perturbations are always projected into
@@ -96,13 +96,12 @@ class EpochwiseAdvTrainer(MixedAdversarialTrainer):
         clean_weight: float = 0.5,
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
-        scheduler=None,
         delta_block_size: int = DEFAULT_BLOCK_SIZE,
         delta_budget_bytes: Optional[int] = None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            model, optimizer, loss_fn=loss_fn,
             clean_weight=clean_weight, warmup_epochs=warmup_epochs, rng=rng,
         )
         check_positive("epsilon", epsilon)

@@ -65,11 +65,10 @@ class FreeAdvTrainer(Trainer):
         step_size: float = None,
         warmup_epochs: int = 0,
         loss_fn: Callable = cross_entropy,
-        scheduler=None,
         rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, loss_fn=loss_fn, scheduler=scheduler,
+            model, optimizer, loss_fn=loss_fn,
             warmup_epochs=warmup_epochs, rng=rng,
         )
         check_positive("epsilon", epsilon)

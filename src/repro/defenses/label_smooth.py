@@ -40,13 +40,11 @@ class LabelSmoothingTrainer(Trainer):
         model: Module,
         optimizer: Optimizer,
         smoothing: float = 0.1,
-        scheduler=None,
         warmup_epochs: int = 0,
         rng: RngLike = None,
     ) -> None:
         super().__init__(
-            model, optimizer, scheduler=scheduler,
-            warmup_epochs=warmup_epochs, rng=rng,
+            model, optimizer, warmup_epochs=warmup_epochs, rng=rng
         )
         check_in_unit_interval("smoothing", smoothing)
         self.smoothing = float(smoothing)

@@ -32,7 +32,6 @@ from .epochwise import EpochwiseAdvTrainer
 from .free import FreeAdvTrainer
 from .label_smooth import LabelSmoothingTrainer
 from .pgd_adv import PgdAdvTrainer
-from .trades import TradesTrainer
 from .trainer import Trainer
 
 __all__ = [
@@ -54,7 +53,7 @@ PAPER_DEFENSES = (
 )
 
 # Extension baselines beyond the paper (future-work section).
-EXTENSION_DEFENSES = ("pgd_adv", "free_adv", "trades", "label_smooth")
+EXTENSION_DEFENSES = ("pgd_adv", "free_adv", "label_smooth")
 
 
 # name -> builder(model, optimizer, epsilon, kwargs) -> Trainer
@@ -107,11 +106,6 @@ register_defense(
 )
 register_defense(
     "free_adv", lambda model, optimizer, epsilon, **kw: FreeAdvTrainer(
-        model, optimizer, epsilon=epsilon, **kw
-    )
-)
-register_defense(
-    "trades", lambda model, optimizer, epsilon, **kw: TradesTrainer(
         model, optimizer, epsilon=epsilon, **kw
     )
 )

@@ -1,7 +1,7 @@
 """Vanilla training loop — the base every defense builds on.
 
 The trainer owns the epoch loop, per-epoch wall-clock timing (the paper's
-efficiency metric), optional evaluation hooks and the clean warmup.  Its
+efficiency metric) and the clean warmup.  Its
 extension points are ``compute_batch_loss`` (the adversarial-training
 subclasses override it) and ``train_step`` (the whole per-batch update, which
 only free adversarial training replaces).
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .. import telemetry as tel
 from ..autograd import Tensor
 from ..data.loader import Batch, DataLoader
 from ..nn import Module, cross_entropy
-from ..optim import LRScheduler, Optimizer
+from ..optim import Optimizer
 from ..runtime.workspace import get_workspace
 from ..telemetry import ConsoleEvents, Stopwatch
 from ..utils.rng import RngLike, ensure_rng
@@ -42,15 +42,12 @@ class TrainingHistory:
     losses:
         Mean training loss per epoch.
     epoch_seconds:
-        Wall-clock duration of each epoch (training only, evaluation
-        excluded) — Table I's "training time per epoch".
-    eval_accuracy:
-        Clean test accuracy measured at requested epochs.
+        Wall-clock duration of each epoch — Table I's "training time per
+        epoch".
     """
 
     losses: List[float] = field(default_factory=list)
     epoch_seconds: List[float] = field(default_factory=list)
-    eval_accuracy: Dict[int, float] = field(default_factory=dict)
 
     @property
     def time_per_epoch(self) -> float:
@@ -76,8 +73,6 @@ class Trainer:
         Optimizer bound to the model's parameters.
     loss_fn:
         Classification loss; defaults to softmax cross-entropy.
-    scheduler:
-        Optional LR scheduler stepped after every epoch.
     warmup_epochs:
         Clean epochs before a defense's own step takes over: while
         :attr:`in_warmup`, every trainer runs the vanilla step on
@@ -95,7 +90,6 @@ class Trainer:
         model: Module,
         optimizer: Optimizer,
         loss_fn: Callable = cross_entropy,
-        scheduler: Optional[LRScheduler] = None,
         warmup_epochs: int = 0,
         rng: RngLike = None,
     ) -> None:
@@ -106,7 +100,6 @@ class Trainer:
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
-        self.scheduler = scheduler
         self.warmup_epochs = int(warmup_epochs)
         self.rng = ensure_rng(rng)
         self.epoch = 0
@@ -180,17 +173,12 @@ class Trainer:
             losses.extend(step(batch))
         self.on_epoch_end(self.epoch)
         self.epoch += 1
-        if self.scheduler is not None:
-            self.scheduler.step()
         return float(np.mean(losses)) if losses else 0.0
 
     def fit(
         self,
         loader: DataLoader,
         epochs: int,
-        eval_fn: Optional[Callable[[Module], float]] = None,
-        eval_every: int = 0,
-        callbacks: Optional[list] = None,
         verbose: bool = False,
     ) -> TrainingHistory:
         """Train for ``epochs`` passes.
@@ -201,52 +189,32 @@ class Trainer:
             Training batches.
         epochs:
             Number of epochs.
-        eval_fn:
-            Optional callback ``model -> accuracy``; invoked every
-            ``eval_every`` epochs (and after the last epoch).
-        eval_every:
-            Evaluation period; ``0`` disables periodic evaluation.
-        callbacks:
-            Objects with ``on_epoch_end(epoch, model, metric) -> bool``
-            (e.g. :class:`~repro.defenses.callbacks.Checkpointer`,
-            :class:`~repro.defenses.callbacks.EarlyStopping`); returning
-            ``True`` stops training early.
         verbose:
             Print a per-epoch progress line.
         """
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
-        callbacks = list(callbacks or [])
         history = TrainingHistory()
-        # Verbose fits surface rare telemetry events (checkpoints saved,
-        # early stopping) as console lines alongside the progress log.
+        # Verbose fits surface the proposed method's cache resets as
+        # console lines alongside the progress log.
         events_sink = None
         if verbose:
-            events_sink = ConsoleEvents((
-                "checkpoint.saved",
-                "early_stop.triggered",
-                "epochwise.cache_reset",
-            ))
+            events_sink = ConsoleEvents(("epochwise.cache_reset",))
             tel.add_sink(events_sink)
         try:
-            self._fit_loop(
-                loader, epochs, history, eval_fn, eval_every, callbacks,
-                verbose,
-            )
+            self._fit_loop(loader, epochs, history, verbose)
         finally:
             if events_sink is not None:
                 tel.remove_sink(events_sink)
         self.model.eval()
         return history
 
-    def _fit_loop(
-        self, loader, epochs, history, eval_fn, eval_every, callbacks, verbose
-    ) -> None:
+    def _fit_loop(self, loader, epochs, history, verbose) -> None:
         # Step-parameterised trainers report their paper-style row name
         # (bim10_adv, not iter_adv) so run records keep the rows distinct.
         trainer_name = getattr(self, "name_with_steps", self.name)
         watch = Stopwatch()
-        for local_epoch in range(epochs):
+        for _ in range(epochs):
             epoch_index = self.epoch
             # The epoch span wraps exactly the stopwatch region, so the
             # telemetry run record reproduces Table I's time-per-epoch.
@@ -262,25 +230,8 @@ class Trainer:
                     tel.gauge(name, value)
             history.losses.append(mean_loss)
             history.epoch_seconds.append(elapsed)
-            should_eval = eval_fn is not None and (
-                (eval_every and (local_epoch + 1) % eval_every == 0)
-                or local_epoch == epochs - 1
-            )
-            metric = None
-            if should_eval:
-                self.model.eval()
-                metric = float(eval_fn(self.model))
-                history.eval_accuracy[self.epoch] = metric
-                self.model.train()
             if verbose:
-                note = f" acc={metric:.3f}" if metric is not None else ""
                 print(
                     f"[{self.name}] epoch {self.epoch}: "
-                    f"loss={mean_loss:.4f} ({elapsed:.2f}s){note}"
+                    f"loss={mean_loss:.4f} ({elapsed:.2f}s)"
                 )
-            stop = False
-            for callback in callbacks:
-                if callback.on_epoch_end(self.epoch, self.model, metric):
-                    stop = True
-            if stop:
-                break

@@ -182,8 +182,8 @@ class RobustnessEvaluator:
 
         Each spec (``"fgsm"``, ``"bim:num_steps=30"``, ``"original"`` for
         clean accuracy, ...) becomes one column keyed by the spec string
-        itself; ``epsilon`` supplies the budget for specs that need one
-        and do not set it explicitly.
+        itself; ``epsilon`` supplies the budget for specs that do not set
+        it explicitly.
         """
         builders: Dict[str, Callable[[Module], Optional[Attack]]] = {}
         for spec in specs:

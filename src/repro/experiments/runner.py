@@ -138,7 +138,6 @@ class ClassifierPool:
                 {
                     "losses": defense.history.losses,
                     "epoch_seconds": defense.history.epoch_seconds,
-                    "eval_accuracy": defense.history.eval_accuracy,
                 },
             )
 
@@ -169,10 +168,6 @@ class ClassifierPool:
                 history.epoch_seconds = list(
                     payload.get("epoch_seconds", [])
                 )
-                history.eval_accuracy = {
-                    int(k): v
-                    for k, v in payload.get("eval_accuracy", {}).items()
-                }
             self._cache[name] = TrainedDefense(
                 name=name, model=model, history=history
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..nn import (
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2d,
     ReLU,
@@ -62,20 +61,17 @@ def mnist_mlp(
     image_size: int = 28,
     seed: int = 0,
     hidden: int = 256,
-    dropout: float = 0.0,
 ) -> FeatureClassifier:
     """MLP baseline: flatten - dense(hidden) - ReLU - dense(hidden/2) - ReLU."""
-    rngs = spawn_rngs(ensure_rng(seed), 4)
+    rngs = spawn_rngs(ensure_rng(seed), 3)
     input_dim = in_channels * image_size * image_size
-    layers = [
+    features = Sequential(
         Flatten(),
         Dense(input_dim, hidden, rng=rngs[0]),
         ReLU(),
-    ]
-    if dropout > 0:
-        layers.append(Dropout(dropout, rng=rngs[3]))
-    layers.extend([Dense(hidden, hidden // 2, rng=rngs[1]), ReLU()])
-    features = Sequential(*layers)
+        Dense(hidden, hidden // 2, rng=rngs[1]),
+        ReLU(),
+    )
     head = Dense(hidden // 2, num_classes, rng=rngs[2])
     return FeatureClassifier(features, head, num_classes)
 

@@ -7,13 +7,9 @@ the classifiers that the paper trains and attacks.
 from . import init
 from .layers import (
     AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
-    LayerNorm,
     LeakyReLU,
     MaxPool2d,
     ReLU,
@@ -23,15 +19,7 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .losses import (
-    CrossEntropyLoss,
-    MSELoss,
-    NLLLoss,
-    cross_entropy,
-    mse_loss,
-    nll_loss,
-    one_hot,
-)
+from .losses import CrossEntropyLoss, cross_entropy, one_hot
 from .module import Module, Parameter
 
 __all__ = [
@@ -48,19 +36,11 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "Softmax",
-    "Dropout",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "LayerNorm",
     "Flatten",
     "Reshape",
     "Sequential",
     # losses
     "cross_entropy",
-    "nll_loss",
-    "mse_loss",
     "one_hot",
     "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
 ]

@@ -16,17 +16,7 @@ import numpy as np
 from ..runtime import compute_dtype
 from ..utils.rng import RngLike, ensure_rng
 
-__all__ = [
-    "zeros",
-    "ones",
-    "uniform",
-    "normal",
-    "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "compute_fans",
-]
+__all__ = ["uniform", "kaiming_uniform", "compute_fans"]
 
 
 def compute_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -47,40 +37,10 @@ def compute_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
-def zeros(shape) -> np.ndarray:
-    """All-zeros array of ``shape`` in the policy compute dtype."""
-    return np.zeros(shape, dtype=compute_dtype())
-
-
-def ones(shape) -> np.ndarray:
-    """All-ones array of ``shape`` in the policy compute dtype."""
-    return np.ones(shape, dtype=compute_dtype())
-
-
 def uniform(shape, low: float, high: float, rng: RngLike = None) -> np.ndarray:
     """Uniform samples in ``[low, high)`` in the policy compute dtype."""
     samples = ensure_rng(rng).uniform(low, high, size=shape)
     return samples.astype(compute_dtype(), copy=False)
-
-
-def normal(shape, mean: float = 0.0, std: float = 1.0, rng: RngLike = None) -> np.ndarray:
-    """Gaussian samples with the given mean/std in the policy compute dtype."""
-    samples = ensure_rng(rng).normal(mean, std, size=shape)
-    return samples.astype(compute_dtype(), copy=False)
-
-
-def xavier_uniform(shape, gain: float = 1.0, rng: RngLike = None) -> np.ndarray:
-    """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = compute_fans(tuple(shape))
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return uniform(shape, -bound, bound, rng=rng)
-
-
-def xavier_normal(shape, gain: float = 1.0, rng: RngLike = None) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = compute_fans(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return normal(shape, 0.0, std, rng=rng)
 
 
 def kaiming_uniform(shape, rng: RngLike = None) -> np.ndarray:
@@ -88,10 +48,3 @@ def kaiming_uniform(shape, rng: RngLike = None) -> np.ndarray:
     fan_in, _fan_out = compute_fans(tuple(shape))
     bound = np.sqrt(6.0 / fan_in)
     return uniform(shape, -bound, bound, rng=rng)
-
-
-def kaiming_normal(shape, rng: RngLike = None) -> np.ndarray:
-    """He normal, appropriate for ReLU networks."""
-    fan_in, _fan_out = compute_fans(tuple(shape))
-    std = np.sqrt(2.0 / fan_in)
-    return normal(shape, 0.0, std, rng=rng)

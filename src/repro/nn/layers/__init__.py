@@ -4,9 +4,6 @@ from .activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
 from .container import Sequential
 from .conv import Conv2d
 from .dense import Dense
-from .dropout import Dropout
-from .layernorm import LayerNorm
-from .norm import BatchNorm1d, BatchNorm2d
 from .pooling import AvgPool2d, MaxPool2d
 from .shape import Flatten, Reshape
 
@@ -20,10 +17,6 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "Softmax",
-    "Dropout",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "LayerNorm",
     "Flatten",
     "Reshape",
     "Sequential",

@@ -21,26 +21,16 @@ class Dense(Module):
         Input/output dimensionality.
     bias:
         Whether to learn an additive bias.
-    weight_init:
-        One of ``"kaiming_uniform"`` (default; suits the ReLU nets used in
-        the paper), ``"xavier_uniform"``, ``"xavier_normal"``.
     rng:
-        Seed or generator used for initialization.
+        Seed or generator for He-uniform weight initialization (suits the
+        ReLU nets used in the paper).
     """
-
-    _INITS = {
-        "kaiming_uniform": init.kaiming_uniform,
-        "kaiming_normal": init.kaiming_normal,
-        "xavier_uniform": init.xavier_uniform,
-        "xavier_normal": init.xavier_normal,
-    }
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
         bias: bool = True,
-        weight_init: str = "kaiming_uniform",
         rng: RngLike = None,
     ) -> None:
         super().__init__()
@@ -49,16 +39,11 @@ class Dense(Module):
                 "in_features and out_features must be positive, got "
                 f"{in_features} and {out_features}"
             )
-        if weight_init not in self._INITS:
-            raise ValueError(
-                f"unknown weight_init {weight_init!r}; "
-                f"choose from {sorted(self._INITS)}"
-            )
         self.in_features = in_features
         self.out_features = out_features
         generator = ensure_rng(rng)
         self.weight = Parameter(
-            self._INITS[weight_init]((in_features, out_features), rng=generator)
+            init.kaiming_uniform((in_features, out_features), rng=generator)
         )
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, as_tensor, softmax_cross_entropy
+from ..autograd import Tensor, softmax_cross_entropy
 from ..runtime import compute_dtype
 from .module import Module
 
-__all__ = [
-    "cross_entropy",
-    "nll_loss",
-    "mse_loss",
-    "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
-    "one_hot",
-]
+__all__ = ["cross_entropy", "CrossEntropyLoss", "one_hot"]
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -40,18 +32,6 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     encoded = np.zeros((labels.shape[0], num_classes), dtype=compute_dtype())
     encoded[np.arange(labels.shape[0]), labels] = 1.0
     return encoded
-
-
-def _reduce(value: Tensor, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return value.mean()
-    if reduction == "sum":
-        return value.sum()
-    if reduction == "none":
-        return value
-    raise ValueError(
-        f"unknown reduction {reduction!r}; choose 'mean', 'sum' or 'none'"
-    )
 
 
 def cross_entropy(
@@ -88,27 +68,6 @@ def cross_entropy(
     )
 
 
-def nll_loss(log_probs: Tensor, labels, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood given precomputed log-probabilities."""
-    log_probs = as_tensor(log_probs)
-    target = one_hot(labels, log_probs.shape[1])
-    per_example = -(log_probs * Tensor(target)).sum(axis=-1)
-    return _reduce(per_example, reduction)
-
-
-def mse_loss(prediction: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    if prediction.shape != target.shape:
-        raise ValueError(
-            f"shape mismatch: prediction {prediction.shape} vs "
-            f"target {target.shape}"
-        )
-    diff = prediction - target
-    return _reduce(diff * diff, reduction)
-
-
 class CrossEntropyLoss(Module):
     """Module wrapper around :func:`cross_entropy`."""
 
@@ -127,27 +86,3 @@ class CrossEntropyLoss(Module):
             reduction=self.reduction,
             label_smoothing=self.label_smoothing,
         )
-
-
-class NLLLoss(Module):
-    """Module wrapper around :func:`nll_loss`."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, log_probs: Tensor, labels) -> Tensor:
-        """Compute the loss (see the matching functional)."""
-        return nll_loss(log_probs, labels, reduction=self.reduction)
-
-
-class MSELoss(Module):
-    """Module wrapper around :func:`mse_loss`."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        """Compute the loss (see the matching functional)."""
-        return mse_loss(prediction, target, reduction=self.reduction)

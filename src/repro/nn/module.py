@@ -5,8 +5,8 @@ automatically through attribute assignment (the familiar torch-style
 pattern).  Modules provide:
 
 * recursive parameter iteration (for optimizers),
-* train/eval mode switching (dropout, batch norm),
-* state-dict export/import (checkpointing),
+* train/eval mode switching,
+* state-dict export/import of parameters (checkpointing),
 * gradient zeroing.
 """
 
@@ -107,7 +107,7 @@ class Module:
     # training mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Recursively set training mode (affects dropout, batch norm)."""
+        """Recursively set training mode."""
         object.__setattr__(self, "training", bool(mode))
         for module in self._modules.values():
             module.train(mode)
@@ -121,12 +121,11 @@ class Module:
     # precision
     # ------------------------------------------------------------------
     def to_dtype(self, dtype) -> "Module":
-        """Cast all parameters, gradients and float buffers to ``dtype``.
+        """Cast all parameters and gradients to ``dtype``.
 
         In-place (parameter identity is preserved, so optimizers holding
         references keep working; their state buffers re-sync on the next
-        ``step``).  Integer/bool buffers are left untouched.  Returns
-        ``self`` for chaining — the cast-after-load path::
+        ``step``).  Returns ``self`` for chaining — the cast-after-load path::
 
             model.load_state_dict(checkpoint)   # float64 checkpoint
             model.to_dtype("float32")
@@ -140,15 +139,6 @@ class Module:
             param.data = param.data.astype(dtype, copy=False)
             if param.grad is not None:
                 param.grad = param.grad.astype(dtype, copy=False)
-        for _prefix, module in self.named_modules():
-            buffers = getattr(module, "_buffers", None)
-            if not buffers:
-                continue
-            for buf_name, buf in list(buffers.items()):
-                if np.issubdtype(np.asarray(buf).dtype, np.floating):
-                    module._update_buffer(
-                        buf_name, np.asarray(buf).astype(dtype, copy=False)
-                    )
         return self
 
     # ------------------------------------------------------------------
@@ -163,16 +153,11 @@ class Module:
     # state dict
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Export parameters (and buffers) as a flat name→array mapping."""
-        state = OrderedDict(
+        """Export parameters as a flat name→array mapping."""
+        return OrderedDict(
             (name, param.data.copy())
             for name, param in self.named_parameters()
         )
-        for prefix, module in self.named_modules():
-            for buf_name, buf in getattr(module, "_buffers", {}).items():
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                state[key] = np.asarray(buf).copy()
-        return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load parameters exported by :meth:`state_dict`.
@@ -190,32 +175,10 @@ class Module:
                     f"expected {param.shape}, got {value.shape}"
                 )
             param.data = value.astype(param.data.dtype, copy=True)
-        for prefix, module in self.named_modules():
-            buffers = getattr(module, "_buffers", None)
-            if not buffers:
-                continue
-            for buf_name in list(buffers):
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                if key in state:
-                    module._update_buffer(
-                        buf_name, np.asarray(state[key]).copy()
-                    )
 
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register non-learnable persistent state (e.g. BN running stats)."""
-        if not hasattr(self, "_buffers"):
-            object.__setattr__(self, "_buffers", OrderedDict())
-        self._buffers[name] = np.asarray(value)
-        object.__setattr__(self, name, self._buffers[name])
-
-    def _update_buffer(self, name: str, value: np.ndarray) -> None:
-        """Replace a registered buffer's value."""
-        self._buffers[name] = np.asarray(value)
-        object.__setattr__(self, name, self._buffers[name])
-
     def extra_repr(self) -> str:
         """Extra ``repr`` details; override to describe hyper-parameters."""
         return ""

@@ -1,25 +1,7 @@
-"""Optimizers and learning-rate schedulers."""
+"""Optimizers."""
 
-from .adam import Adam, AdamW, RMSprop
+from .adam import Adam
 from .optimizer import Optimizer
-from .schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupLR,
-)
 from .sgd import SGD
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "RMSprop",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
-]
+__all__ = ["Optimizer", "SGD", "Adam"]

@@ -1,4 +1,4 @@
-"""Adam-family optimizers."""
+"""Adam optimizer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from ..nn.module import Parameter
 from .optimizer import Optimizer
 
-__all__ = ["Adam", "AdamW", "RMSprop"]
+__all__ = ["Adam"]
 
 
 class Adam(Optimizer):
@@ -37,15 +37,6 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray):
-        """Classic (coupled) L2: decay added to the gradient."""
-        if self.weight_decay:
-            return grad + self.weight_decay * param.data
-        return grad
-
-    def _decoupled_decay(self, param: Parameter) -> None:
-        """Hook for AdamW; no-op in plain Adam."""
-
     def step(self) -> None:
         """Apply one update from the accumulated gradients."""
         self._t += 1
@@ -55,7 +46,8 @@ class Adam(Optimizer):
             grad = param.grad
             if grad is None:
                 continue
-            grad = self._apply_weight_decay(param, grad)
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
             m = self._state_buffer(self._m, index, param)
             v = self._state_buffer(self._v, index, param)
             m *= self.beta1
@@ -64,57 +56,7 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            self._decoupled_decay(param)
             self._assign(
                 param,
                 param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps),
             )
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _apply_weight_decay(self, param: Parameter, grad: np.ndarray):
-        return grad  # decay handled decoupled in _decoupled_decay
-
-    def _decoupled_decay(self, param: Parameter) -> None:
-        if self.weight_decay:
-            param.data = param.data - self.lr * self.weight_decay * param.data
-
-
-class RMSprop(Optimizer):
-    """RMSprop with optional momentum."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-        self.alpha = alpha
-        self.eps = eps
-        self.momentum = momentum
-        self._avg = [np.zeros_like(p.data) for p in self.params]
-        self._buf = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        """Apply one update from the accumulated gradients."""
-        for index, param in enumerate(self.params):
-            grad = param.grad
-            if grad is None:
-                continue
-            avg = self._state_buffer(self._avg, index, param)
-            avg *= self.alpha
-            avg += (1.0 - self.alpha) * grad * grad
-            update = grad / (np.sqrt(avg) + self.eps)
-            if self.momentum:
-                buf = self._state_buffer(self._buf, index, param)
-                buf *= self.momentum
-                buf += update
-                update = buf
-            self._assign(param, param.data - self.lr * update)

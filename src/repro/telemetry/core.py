@@ -16,8 +16,8 @@ Design
 * **Metrics** (:func:`counter`, :func:`gauge`, :func:`observe`) accumulate
   into a process-wide :class:`MetricsRegistry`; :func:`capture` emits a
   ``{"type": "metrics", ...}`` snapshot record when the run ends.
-* **Events** (:func:`event`) are rare, discrete happenings (a checkpoint
-  written, early stopping triggered).  They are dispatched to sinks even
+* **Events** (:func:`event`) are rare, discrete happenings (the proposed
+  method dropping its carried iterates).  They are dispatched to sinks even
   when telemetry is disabled — with no sinks attached they cost a single
   truthiness check.
 
@@ -625,7 +625,7 @@ def _dispatch(record: dict) -> None:
 
 
 def event(name: str, **fields) -> None:
-    """Emit a discrete event record (``checkpoint.saved``, ...).
+    """Emit a discrete event record (``epochwise.cache_reset``, ...).
 
     Events bypass the enabled flag: they are rare, and sinks like the
     verbose trainer's console printer want them even when span/metric

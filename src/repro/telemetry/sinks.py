@@ -4,7 +4,7 @@ A sink is any object with ``emit(record: dict)`` (and optionally
 ``close()``).  Records are plain dicts with a ``"type"`` key:
 
 * ``"span"``    — a finished traced region with its child-path breakdown;
-* ``"event"``   — a discrete happening (``checkpoint.saved``, ...);
+* ``"event"``   — a discrete happening (``epochwise.cache_reset``, ...);
 * ``"metrics"`` — the end-of-run counter/gauge/histogram snapshot.
 """
 
@@ -107,8 +107,8 @@ class JsonlSink(Sink):
 class ConsoleEvents(Sink):
     """Print selected event records as human-readable console lines.
 
-    Trainers attach this during verbose fits so rare events (checkpoints
-    saved, early stopping) surface in the progress log.
+    Trainers attach this during verbose fits so rare events (the proposed
+    method's cache resets) surface in the progress log.
     """
 
     def __init__(

@@ -15,7 +15,6 @@ from .validation import (
     check_labels,
     check_non_negative,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_unit_interval",
-    "check_probability",
     "check_image_batch",
     "check_labels",
 ]

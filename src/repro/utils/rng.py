@@ -1,7 +1,7 @@
 """Deterministic random-number management.
 
 Every stochastic component in the library (weight init, data generation,
-shuffling, dropout, attack random starts) draws from an explicitly passed
+shuffling, attack random starts) draws from an explicitly passed
 ``numpy.random.Generator`` so that experiments are reproducible end-to-end.
 This module provides helpers for creating and splitting generators.
 """

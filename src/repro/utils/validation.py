@@ -14,7 +14,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_unit_interval",
-    "check_probability",
     "check_image_batch",
     "check_labels",
 ]
@@ -36,12 +35,6 @@ def check_in_unit_interval(name: str, value) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def check_probability(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``0 <= value < 1`` (dropout-style rate)."""
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
 
 def check_image_batch(x: np.ndarray) -> Tuple[int, int, int, int]:

@@ -15,11 +15,9 @@ from repro.attacks import (
     FGSM,
     MIM,
     PGD,
-    PGDL2,
     SPSA,
     RandomNoise,
     clip_to_box,
-    project_l2,
     project_linf,
 )
 from repro.autograd import Tensor, no_grad
@@ -61,12 +59,6 @@ def _input_gradient(model, x, y):
     loss = cross_entropy(model(x_tensor), y)
     loss.backward()
     return x_tensor.grad
-
-
-def _normalize_l2(grad):
-    flat = grad.reshape(len(grad), -1)
-    norms = np.maximum(np.linalg.norm(flat, axis=1), 1e-12)
-    return (flat / norms[:, None]).reshape(grad.shape)
 
 
 # ----------------------------------------------------------------------
@@ -124,29 +116,6 @@ def _legacy_mim(model, x, y, epsilon, num_steps, decay, targeted=False):
         momentum = decay * momentum + grad / flat
         moved = x_adv + _direction(targeted) * step_size * np.sign(momentum)
         x_adv = clip_to_box(project_linf(moved, x, epsilon))
-    return x_adv
-
-
-def _legacy_pgd_l2(
-    model, x, y, epsilon, num_steps, rng, random_start=True, targeted=False
-):
-    step_size = 2.5 * epsilon / num_steps
-    if random_start:
-        direction = rng.normal(size=x.shape).astype(x.dtype, copy=False)
-        direction = _normalize_l2(direction)
-        radii = (
-            epsilon
-            * rng.uniform(0, 1, size=(len(x),) + (1,) * (x.ndim - 1))
-            ** (1.0 / x[0].size)
-        ).astype(x.dtype, copy=False)
-        x_adv = clip_to_box(x + direction * radii)
-    else:
-        x_adv = x.copy()
-    for _ in range(num_steps):
-        grad = _input_gradient(model, x_adv, y)
-        step = _direction(targeted) * step_size * _normalize_l2(grad)
-        x_adv = project_l2(x_adv + step, x, epsilon)
-        x_adv = clip_to_box(x_adv)
     return x_adv
 
 
@@ -253,20 +222,6 @@ def test_mim_bitwise(model, batch, targets, targeted):
     ).generate(x, labels)
     old = _legacy_mim(
         model, x, labels, EPS, 5, decay=0.9, targeted=targeted
-    )
-    assert np.array_equal(new, old)
-
-
-@pytest.mark.parametrize("targeted", [False, True])
-def test_pgd_l2_bitwise(model, batch, targets, targeted):
-    x, y = batch
-    labels = targets if targeted else y
-    new = PGDL2(
-        model, EPS, num_steps=5, rng=13, targeted=targeted
-    ).generate(x, labels)
-    old = _legacy_pgd_l2(
-        model, x, labels, EPS, 5,
-        np.random.default_rng(13), targeted=targeted,
     )
     assert np.array_equal(new, old)
 

@@ -8,9 +8,7 @@ from repro.attacks import (
     FGSM,
     MIM,
     PGD,
-    PGDL2,
     AttackSpec,
-    DeepFool,
     RandomNoise,
     attack_names,
     build_attack,
@@ -18,6 +16,7 @@ from repro.attacks import (
     parse_attack_spec,
 )
 from repro.attacks.losses import margin_loss
+from repro.eval import RobustnessEvaluator
 from repro.models import mnist_mlp
 
 
@@ -52,7 +51,6 @@ class TestParse:
         assert parse_attack_spec("bim30") == AttackSpec(
             "bim", {"num_steps": 30}
         )
-        assert parse_attack_spec("pgdl2").name == "pgd_l2"
         assert parse_attack_spec("random_noise").name == "noise"
 
     def test_spec_params_override_alias_params(self):
@@ -82,7 +80,6 @@ class TestParse:
 class TestCanonicalNames:
     def test_known_names(self):
         assert canonical_attack_name("bim10") == "bim"
-        assert canonical_attack_name("PGDL2") == "pgd_l2"
         assert canonical_attack_name("fgsm") == "fgsm"
         for clean in ("clean", "none", "original"):
             assert canonical_attack_name(clean) == "clean"
@@ -104,8 +101,6 @@ class TestBuild:
             ("fgsm", FGSM),
             ("bim", BIM),
             ("pgd", PGD),
-            ("pgd_l2", PGDL2),
-            ("pgdl2", PGDL2),
             ("mim", MIM),
             ("noise", RandomNoise),
             ("random_noise", RandomNoise),
@@ -131,13 +126,6 @@ class TestBuild:
     def test_missing_epsilon_rejected(self, model):
         with pytest.raises(ValueError, match="needs an epsilon"):
             build_attack("bim", model)
-
-    def test_deepfool_needs_no_epsilon(self, model):
-        attack = build_attack("deepfool:max_steps=5", model)
-        assert type(attack) is DeepFool
-        assert attack.max_steps == 5
-        # A supplied experiment-wide epsilon is simply ignored.
-        assert type(build_attack("deepfool", model, epsilon=0.25)) is DeepFool
 
     def test_overrides_yield_to_spec_params(self, model):
         attack = build_attack(
@@ -166,3 +154,17 @@ class TestBuild:
         x_adv = attack.generate(x, y)
         assert x_adv.shape == x.shape
         assert np.all(np.abs(x_adv - x) <= 0.25 + 1e-12)
+
+
+@pytest.mark.parametrize("name", attack_names())
+def test_every_registered_attack_runs(name, model, digits_small):
+    """Every name ``repro audit --attack`` accepts builds through the same
+    spec parser and evaluator and runs on a small batch."""
+    _train, test = digits_small
+    x, y = (array[:8] for array in test.arrays())
+    suite = RobustnessEvaluator.from_specs([name], epsilon=0.25)
+    assert 0.0 <= suite.evaluate(model, x, y)[name] <= 1.0
+    attack = build_attack(parse_attack_spec(name), model, epsilon=0.25)
+    x_adv = attack.generate(x, y)
+    assert x_adv.shape == x.shape
+    assert np.all(np.abs(x_adv - x) <= 0.25 + 1e-6)

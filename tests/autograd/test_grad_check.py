@@ -72,7 +72,6 @@ _IMG = _R.standard_normal((2, 3, 6, 6)) * 1.7  # continuous: no pool ties
 _KERNEL = _R.standard_normal((4, 3, 3, 3)) * 0.4
 _BIAS = _R.standard_normal(4) * 0.1
 _LABELS = np.array([2, 0, 3])
-_MASK = (_R.random((2, 5)) < 0.7).astype(float) / 0.7
 _DISTINCT = _R.permutation(24).astype(float).reshape(2, 3, 4) * 0.37
 
 _CASES = {
@@ -163,9 +162,6 @@ _CASES = {
     "AvgPool2d": (
         lambda x: ops_nn.AvgPool2d.apply(x, kernel_size=2, padding=1),
         [_IMG],
-    ),
-    "DropoutMask": (
-        lambda a: ops_nn.DropoutMask.apply(a, _MASK), [_smooth(2, 5)]
     ),
 }
 

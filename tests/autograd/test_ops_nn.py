@@ -10,7 +10,6 @@ from repro.autograd import (
     avg_pool2d,
     check_gradients,
     conv2d,
-    dropout_mask,
     leaky_relu,
     log_softmax,
     max_pool2d,
@@ -336,18 +335,6 @@ class TestPooling:
             lambda a: max_pool2d(a, kernel_size=2, padding=1),
             [randn(2, 2, 4, 4)],
         )
-
-
-class TestDropoutMask:
-    def test_applies_mask(self):
-        x = Tensor(np.ones((2, 2)))
-        mask = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(dropout_mask(x, mask).data, mask)
-
-    def test_gradient_through_mask(self):
-        x = Tensor(np.ones((2,)), requires_grad=True)
-        dropout_mask(x, np.array([2.0, 0.0])).sum().backward()
-        assert np.allclose(x.grad, [2.0, 0.0])
 
 
 class TestIm2Col:

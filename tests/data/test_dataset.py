@@ -3,18 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    ConcatDataset,
-    Subset,
-    TensorDataset,
-    train_test_split,
-)
-from repro.data.dataset import Dataset
-
-
-def base_arrays(dataset):
-    """The pre-vectorisation per-example materialisation, for parity."""
-    return Dataset.arrays(dataset)
+from repro.data import TensorDataset
 
 
 def make_dataset(n=10):
@@ -40,108 +29,3 @@ class TestTensorDataset:
         x, y = ds.arrays()
         assert x.shape == (4, 4)
         assert y.shape == (4,)
-
-
-class TestSubset:
-    def test_selects_indices(self):
-        ds = make_dataset(10)
-        sub = Subset(ds, [3, 7])
-        assert len(sub) == 2
-        assert sub[0][1] == ds[3][1]
-        assert sub[1][1] == ds[7][1]
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            Subset(make_dataset(3), [5])
-
-    def test_arrays(self):
-        sub = Subset(make_dataset(10), [1, 2])
-        x, y = sub.arrays()
-        assert x.shape == (2, 4)
-
-    def test_arrays_matches_base_implementation(self):
-        """The vectorised override must equal the per-example loop."""
-        sub = Subset(make_dataset(10), [7, 0, 3, 3, 9])
-        x, y = sub.arrays()
-        bx, by = base_arrays(sub)
-        assert np.array_equal(x, bx)
-        assert np.array_equal(y, by)
-        assert x.dtype == bx.dtype
-
-    def test_arrays_of_nested_subset(self):
-        inner = Subset(make_dataset(10), [2, 4, 6, 8])
-        outer = Subset(inner, [3, 0])
-        x, y = outer.arrays()
-        bx, by = base_arrays(outer)
-        assert np.array_equal(x, bx)
-        assert np.array_equal(y, by)
-
-
-class TestConcatDataset:
-    def test_length(self):
-        cat = ConcatDataset([make_dataset(3), make_dataset(5)])
-        assert len(cat) == 8
-
-    def test_indexing_across_boundary(self):
-        a, b = make_dataset(3), make_dataset(5)
-        cat = ConcatDataset([a, b])
-        assert np.array_equal(cat[2][0], a[2][0])
-        assert np.array_equal(cat[3][0], b[0][0])
-        assert np.array_equal(cat[7][0], b[4][0])
-
-    def test_negative_index(self):
-        cat = ConcatDataset([make_dataset(2), make_dataset(2)])
-        assert np.array_equal(cat[-1][0], cat[3][0])
-
-    def test_out_of_range(self):
-        cat = ConcatDataset([make_dataset(2)])
-        with pytest.raises(IndexError):
-            cat[2]
-
-    def test_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            ConcatDataset([])
-
-    def test_arrays_matches_base_implementation(self):
-        cat = ConcatDataset([make_dataset(3), make_dataset(5)])
-        x, y = cat.arrays()
-        bx, by = base_arrays(cat)
-        assert np.array_equal(x, bx)
-        assert np.array_equal(y, by)
-        assert x.dtype == bx.dtype
-
-    def test_arrays_of_concat_of_subsets(self):
-        cat = ConcatDataset(
-            [Subset(make_dataset(6), [5, 1]), Subset(make_dataset(4), [0, 3])]
-        )
-        x, y = cat.arrays()
-        bx, by = base_arrays(cat)
-        assert np.array_equal(x, bx)
-        assert np.array_equal(y, by)
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        train, test = train_test_split(make_dataset(10), 0.3, rng=0)
-        assert len(test) == 3
-        assert len(train) == 7
-
-    def test_disjoint_and_complete(self):
-        ds = make_dataset(20)
-        train, test = train_test_split(ds, 0.25, rng=0)
-        all_indices = sorted(
-            list(train.indices) + list(test.indices)
-        )
-        assert all_indices == list(range(20))
-
-    def test_deterministic_given_seed(self):
-        ds = make_dataset(10)
-        t1, _ = train_test_split(ds, 0.2, rng=5)
-        t2, _ = train_test_split(ds, 0.2, rng=5)
-        assert np.array_equal(t1.indices, t2.indices)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(make_dataset(4), 0.0)
-        with pytest.raises(ValueError):
-            train_test_split(make_dataset(4), 1.0)

@@ -11,7 +11,7 @@ from repro.defenses import (
     defense_names,
 )
 from repro.models import mnist_mlp
-from repro.optim import Adam, SGD, StepLR
+from repro.optim import Adam
 
 
 def make_trainer(lr=2e-3):
@@ -41,29 +41,6 @@ class TestFit:
         x, y = test.arrays()
         assert (trainer.model.predict(x) == y).mean() > 0.85
 
-    def test_eval_callback_invoked(self, digits_small):
-        train, test = digits_small
-        x, y = test.arrays()
-        trainer = make_trainer()
-        history = trainer.fit(
-            DataLoader(train, batch_size=64, rng=0),
-            epochs=4,
-            eval_fn=lambda m: (m.predict(x) == y).mean(),
-            eval_every=2,
-        )
-        assert set(history.eval_accuracy) == {2, 4}
-
-    def test_eval_always_runs_on_last_epoch(self, digits_small):
-        train, test = digits_small
-        x, y = test.arrays()
-        history = make_trainer().fit(
-            DataLoader(train, batch_size=64, rng=0),
-            epochs=3,
-            eval_fn=lambda m: (m.predict(x) == y).mean(),
-            eval_every=0,
-        )
-        assert list(history.eval_accuracy) == [3]
-
     def test_model_left_in_eval_mode(self, digits_small):
         train, _ = digits_small
         trainer = make_trainer()
@@ -82,15 +59,6 @@ class TestFit:
         train, _ = digits_small
         with pytest.raises(ValueError):
             make_trainer().fit(DataLoader(train, rng=0), epochs=0)
-
-    def test_scheduler_steps_once_per_epoch(self, digits_small):
-        train, _ = digits_small
-        model = mnist_mlp(seed=0)
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = StepLR(opt, step_size=1, gamma=0.5)
-        trainer = Trainer(model, opt, scheduler=sched)
-        trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=3)
-        assert np.isclose(opt.lr, 0.125)
 
 
 def one_warmup_epoch(name, train):

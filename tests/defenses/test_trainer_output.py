@@ -1,6 +1,5 @@
 """Tests for trainer console output and history bookkeeping details."""
 
-import numpy as np
 import pytest
 
 from repro.data import DataLoader
@@ -25,18 +24,6 @@ class TestVerboseOutput:
         assert "[vanilla] epoch 1" in out
         assert "loss=" in out
 
-    def test_prints_accuracy_when_evaluated(self, setup, capsys):
-        trainer, loader, test = setup
-        x, y = test.arrays()
-        trainer.fit(
-            loader,
-            epochs=2,
-            eval_fn=lambda m: (m.predict(x) == y).mean(),
-            eval_every=1,
-            verbose=True,
-        )
-        assert "acc=" in capsys.readouterr().out
-
     def test_silent_by_default(self, setup, capsys):
         trainer, loader, _test = setup
         trainer.fit(loader, epochs=1)
@@ -48,16 +35,3 @@ class TestHistoryDetails:
         trainer, loader, _test = setup
         history = trainer.fit(loader, epochs=3)
         assert all(s > 0 for s in history.epoch_seconds)
-
-    def test_eval_accuracy_keyed_by_global_epoch(self, setup):
-        trainer, loader, test = setup
-        x, y = test.arrays()
-        trainer.fit(loader, epochs=2)  # epochs 1-2, no eval
-        history = trainer.fit(
-            loader,
-            epochs=2,
-            eval_fn=lambda m: (m.predict(x) == y).mean(),
-            eval_every=1,
-        )
-        # Second fit covers global epochs 3 and 4.
-        assert set(history.eval_accuracy) == {3, 4}

@@ -25,12 +25,7 @@ class TestComputeFans:
 class TestDeterminism:
     @pytest.mark.parametrize(
         "fn",
-        [
-            init.xavier_uniform,
-            init.xavier_normal,
-            init.kaiming_uniform,
-            init.kaiming_normal,
-        ],
+        [init.kaiming_uniform],
     )
     def test_same_seed_same_weights(self, fn):
         assert np.array_equal(fn((10, 10), rng=3), fn((10, 10), rng=3))
@@ -43,26 +38,11 @@ class TestDeterminism:
 
 
 class TestStatistics:
-    def test_zeros_ones(self):
-        assert init.zeros((3,)).sum() == 0.0
-        assert init.ones((3,)).sum() == 3.0
-
     def test_uniform_bounds(self):
         w = init.uniform((1000,), -0.5, 0.5, rng=0)
         assert w.min() >= -0.5 and w.max() <= 0.5
 
-    def test_normal_moments(self):
-        w = init.normal((20000,), mean=1.0, std=2.0, rng=0)
-        assert abs(w.mean() - 1.0) < 0.1
-        assert abs(w.std() - 2.0) < 0.1
-
-    def test_xavier_uniform_bound(self):
-        fan_in, fan_out = 100, 50
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = init.xavier_uniform((fan_in, fan_out), rng=0)
-        assert np.abs(w).max() <= bound + 1e-12
-
-    def test_kaiming_normal_std(self):
+    def test_kaiming_uniform_bound(self):
         fan_in = 400
-        w = init.kaiming_normal((fan_in, 200), rng=0)
-        assert abs(w.std() - np.sqrt(2.0 / fan_in)) < 0.01
+        w = init.kaiming_uniform((fan_in, 200), rng=0)
+        assert np.abs(w).max() <= np.sqrt(6.0 / fan_in)

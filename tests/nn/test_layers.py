@@ -8,7 +8,6 @@ from repro.nn import (
     AvgPool2d,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     LeakyReLU,
     MaxPool2d,
@@ -51,10 +50,6 @@ class TestDense:
             Dense(0, 3)
         with pytest.raises(ValueError):
             Dense(3, -1)
-
-    def test_unknown_init_raises(self):
-        with pytest.raises(ValueError, match="weight_init"):
-            Dense(3, 3, weight_init="nope")
 
     def test_seeded_init_deterministic(self):
         a, b = Dense(4, 4, rng=7), Dense(4, 4, rng=7)
@@ -123,39 +118,6 @@ class TestActivationLayers:
 
     def test_relu_clamps(self):
         assert ReLU()(Tensor([-1.0, 1.0])).data.min() == 0.0
-
-
-class TestDropout:
-    def test_identity_in_eval(self):
-        layer = Dropout(0.5, rng=0)
-        layer.eval()
-        x = randn(4, 4)
-        assert np.array_equal(layer(x).data, x.data)
-
-    def test_zero_rate_is_identity(self):
-        layer = Dropout(0.0, rng=0)
-        x = randn(4, 4)
-        assert np.array_equal(layer(x).data, x.data)
-
-    def test_drops_and_scales_in_train(self):
-        layer = Dropout(0.5, rng=0)
-        x = Tensor(np.ones((100, 100)))
-        out = layer(x).data
-        dropped = float((out == 0.0).mean())
-        assert 0.4 < dropped < 0.6
-        kept = out[out != 0]
-        assert np.allclose(kept, 2.0)  # inverted scaling 1/(1-0.5)
-
-    def test_expectation_preserved(self):
-        layer = Dropout(0.3, rng=0)
-        x = Tensor(np.ones((200, 200)))
-        assert abs(layer(x).data.mean() - 1.0) < 0.05
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
 
 
 class TestShapeLayers:

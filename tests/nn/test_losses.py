@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor, check_gradients
-from repro.nn import (
-    CrossEntropyLoss,
-    MSELoss,
-    NLLLoss,
-    cross_entropy,
-    mse_loss,
-    nll_loss,
-    one_hot,
-)
+from repro.nn import CrossEntropyLoss, cross_entropy, one_hot
 
 
 def logits(n=4, c=5, seed=0):
@@ -120,46 +112,8 @@ class TestCrossEntropy:
         assert np.isfinite(cross_entropy(x, np.array([1])).item())
 
 
-class TestNLL:
-    def test_matches_cross_entropy(self):
-        from repro.autograd import log_softmax
-
-        x = logits()
-        y = np.array([0, 1, 2, 3])
-        assert np.isclose(
-            nll_loss(log_softmax(x), y).item(), cross_entropy(x, y).item()
-        )
-
-
-class TestMSE:
-    def test_value(self):
-        a = Tensor(np.array([1.0, 2.0]))
-        b = Tensor(np.array([0.0, 4.0]))
-        assert np.isclose(mse_loss(a, b).item(), (1.0 + 4.0) / 2)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            mse_loss(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
-
-    def test_gradients(self):
-        target = np.random.default_rng(1).normal(size=(3, 2))
-        check_gradients(
-            lambda a: mse_loss(a, target),
-            [Tensor(np.random.default_rng(0).normal(size=(3, 2)))],
-        )
-
-
 class TestModuleWrappers:
     def test_cross_entropy_module(self):
         loss = CrossEntropyLoss()(logits(), np.array([0, 1, 2, 3]))
         assert loss.shape == ()
 
-    def test_nll_module(self):
-        from repro.autograd import log_softmax
-
-        loss = NLLLoss()(log_softmax(logits()), np.array([0, 1, 2, 3]))
-        assert np.isfinite(loss.item())
-
-    def test_mse_module(self):
-        loss = MSELoss()(Tensor(np.zeros(3)), Tensor(np.ones(3)))
-        assert loss.item() == 1.0

@@ -1,10 +1,10 @@
-"""Tests for Adam, AdamW and RMSprop."""
+"""Tests for Adam."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import Adam, AdamW, RMSprop
+from repro.optim import Adam
 from repro.runtime import precision
 
 
@@ -26,10 +26,6 @@ class TestValidation:
     def test_bad_eps(self):
         with pytest.raises(ValueError, match="eps"):
             Adam([quad_param()], eps=0.0)
-
-    def test_rmsprop_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            RMSprop([quad_param()], alpha=1.0)
 
 
 class TestAdam:
@@ -64,43 +60,3 @@ class TestAdam:
         opt = Adam([p, q], lr=0.1)
         quad_step(p, opt)  # q has no grad this step
         assert q.data[0] == 100.0
-
-
-class TestAdamW:
-    def test_decay_is_decoupled(self):
-        # With zero gradient, AdamW still shrinks weights; Adam does not.
-        p_adam, p_adamw = quad_param(1.0), quad_param(1.0)
-        o_adam = Adam([p_adam], lr=0.1, weight_decay=0.5)
-        o_adamw = AdamW([p_adamw], lr=0.1, weight_decay=0.5)
-        for p, o in ((p_adam, o_adam), (p_adamw, o_adamw)):
-            o.zero_grad()
-            (p * 0.0).sum().backward()
-            o.step()
-        # Adam: zero grad + coupled decay -> moments nonzero -> moves.
-        # AdamW: decoupled decay shrinks multiplicatively by lr*wd.
-        assert np.isclose(p_adamw.data[0], 1.0 - 0.1 * 0.5 * 1.0)
-
-    def test_converges(self):
-        p = quad_param(3.0)
-        opt = AdamW([p], lr=0.2, weight_decay=0.01)
-        for _ in range(200):
-            quad_step(p, opt)
-        assert abs(p.data[0]) < 0.05
-
-
-class TestRMSprop:
-    def test_converges_on_quadratic(self):
-        p = quad_param(5.0)
-        opt = RMSprop([p], lr=0.05)
-        for _ in range(300):
-            quad_step(p, opt)
-        assert abs(p.data[0]) < 0.05
-
-    def test_momentum_changes_trajectory(self):
-        p1, p2 = quad_param(5.0), quad_param(5.0)
-        o1 = RMSprop([p1], lr=0.01)
-        o2 = RMSprop([p2], lr=0.01, momentum=0.9)
-        for _ in range(5):
-            quad_step(p1, o1)
-            quad_step(p2, o2)
-        assert p1.data[0] != p2.data[0]

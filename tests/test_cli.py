@@ -209,8 +209,9 @@ class TestObservabilityCommands:
 
 
 def test_import_does_not_load_scipy():
-    """Only the gaussian_blur corruption needs scipy, so importing the CLI
-    (as every process does) must not load it."""
+    """``src/`` imports nothing from scipy (numpy is the only declared
+    dependency), so importing the CLI, as every process does, must not
+    load it even where scipy is installed."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

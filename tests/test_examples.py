@@ -1,9 +1,12 @@
 """Sanity checks for the example scripts.
 
-Each example must at least compile; the cheapest one also runs end-to-end
-in a subprocess to guard the public-API usage they demonstrate.
+Each example must compile and answer ``--help`` in a subprocess (which
+resolves every import, so an example naming a deleted symbol fails); the
+cheapest one also runs end-to-end to guard the public-API usage they
+demonstrate.
 """
 
+import os
 import pathlib
 import py_compile
 import subprocess
@@ -13,6 +16,7 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+SRC_DIR = EXAMPLES_DIR.parent / "src"
 
 
 def test_examples_exist():
@@ -26,6 +30,22 @@ def test_examples_exist():
 )
 def test_example_compiles(path):
     py_compile.compile(str(path), doraise=True)
+
+
+@pytest.mark.parametrize(
+    "path", EXAMPLE_FILES, ids=[p.name for p in EXAMPLE_FILES]
+)
+def test_example_help_runs(path, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, str(path), "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout
 
 
 def test_attack_gallery_runs_end_to_end(tmp_path):

@@ -9,7 +9,6 @@ from repro.utils import (
     check_labels,
     check_non_negative,
     check_positive,
-    check_probability,
 )
 
 
@@ -30,10 +29,6 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_in_unit_interval("x", 1.1)
 
-    def test_probability(self):
-        check_probability("x", 0.0)
-        with pytest.raises(ValueError):
-            check_probability("x", 1.0)
 
 
 class TestImageBatch:
