@@ -1,5 +1,6 @@
-"""Data pipeline: datasets, loaders, sources, synthetic generators."""
+"""Data pipeline: datasets, loaders, transforms, synthetic generators."""
 
+from .corruptions import CORRUPTIONS, corrupt, corruption_sweep
 from .dataset import Dataset, TensorDataset
 from .loader import Batch, DataLoader
 from .source import (
@@ -16,6 +17,13 @@ from .synthetic import (
     dataset_epsilon,
     load_dataset,
     load_test_split,
+)
+from .transforms import (
+    ClipToUnit,
+    Compose,
+    GaussianNoise,
+    Normalize,
+    RandomShift,
 )
 
 __all__ = [
@@ -34,4 +42,12 @@ __all__ = [
     "load_dataset",
     "load_test_split",
     "dataset_epsilon",
+    "Compose",
+    "Normalize",
+    "ClipToUnit",
+    "GaussianNoise",
+    "RandomShift",
+    "CORRUPTIONS",
+    "corrupt",
+    "corruption_sweep",
 ]
