@@ -27,9 +27,7 @@ from repro.optim import Adam
 
 @pytest.fixture(scope="module")
 def victim():
-    model = mnist_mlp(seed=0)
-    model.eval()
-    return model
+    return mnist_mlp(seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +80,6 @@ def trained_victim():
     model = mnist_mlp(seed=0)
     trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
     trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=3)
-    model.eval()
     return model, test.arrays()
 
 

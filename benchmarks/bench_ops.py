@@ -129,7 +129,6 @@ def test_im2col_3x3_padded(benchmark, dtype):
 def test_mlp_forward(benchmark, dtype):
     with precision(dtype):
         model = mnist_mlp(seed=0)
-        model.eval()
         x = Tensor(image_batch(dtype))
         benchmark(lambda: model(x).data)
 

@@ -16,11 +16,11 @@ Usage::
 Artefacts are printed and optionally saved as JSON via ``--save``.
 ``--telemetry PATH`` records the run (spans, counters, events) as a JSONL
 run record; ``repro report PATH`` renders it into the Table-I-style
-per-epoch/per-phase timing summary, and ``--trace`` renders the merged
-cross-process trace trees instead (grid workers and serving threads
-spool span records beside the run record).  ``--profile PATH`` on any
-artefact subcommand samples all threads and writes a collapsed-stack
-flamegraph profile;
+per-epoch/per-phase timing summary, and ``--trace`` renders the
+cross-process trace trees instead (grid workers return their span
+records to the parent, which writes them into the same run record).
+``--profile PATH`` on any artefact subcommand samples all threads and
+writes a collapsed-stack flamegraph profile;
 ``repro bench diff`` compares ``*.bench.json`` benchmark records against
 the committed baselines in ``benchmarks/results/`` and fails on
 regressions.

@@ -155,7 +155,6 @@ class Trainer:
         :meth:`train_step` phases; all of them aggregate into the
         surrounding ``epoch`` span opened by :meth:`fit`.
         """
-        self.model.train()
         self.on_epoch_start(self.epoch)
         # Warmup epochs take the vanilla step whatever a subclass overrides.
         step = (
@@ -206,7 +205,6 @@ class Trainer:
         finally:
             if events_sink is not None:
                 tel.remove_sink(events_sink)
-        self.model.eval()
         return history
 
     def _fit_loop(self, loader, epochs, history, verbose) -> None:

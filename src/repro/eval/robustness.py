@@ -45,7 +45,6 @@ def clean_accuracy(
     model: Module, x: np.ndarray, y: np.ndarray, batch_size: int = 256
 ) -> float:
     """Accuracy on unperturbed examples."""
-    model.eval()
     predictions = np.concatenate(
         [model.predict(bx) for bx, _by in _batched(x, y, batch_size)]
     )
@@ -64,7 +63,6 @@ def robust_accuracy(
     The attack runs white-box against the *same* model that is then used to
     classify (the paper's threat model).
     """
-    model.eval()
     correct = 0
     for bx, by in _batched(np.asarray(x), np.asarray(y), batch_size):
         x_adv = attack.generate(bx, by)
@@ -111,7 +109,6 @@ def intermediate_iterate_curve(
     ``result[i]`` is the accuracy on the batch perturbed for ``i + 1``
     iterations with fixed per-step size ``epsilon / num_steps``.
     """
-    model.eval()
     attack = build_attack("bim", model, epsilon=epsilon, num_steps=num_steps)
     x = np.asarray(x)
     y = np.asarray(y)

@@ -43,7 +43,6 @@ def transfer_accuracy(
     ``surrogate_attack`` must be bound to the surrogate model; the victim
     never sees gradients, only the finished adversarial examples.
     """
-    victim.eval()
     x = np.asarray(x)
     y = np.asarray(y)
     correct = 0
@@ -85,7 +84,6 @@ def transfer_matrix(
             x_adv_batches.append(attack.generate(bx, by))
         x_adv = np.concatenate(x_adv_batches)
         for target_name, target in models.items():
-            target.eval()
             predictions = np.concatenate(
                 [
                     target.predict(x_adv[start : start + batch_size])

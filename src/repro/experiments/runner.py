@@ -159,7 +159,6 @@ class ClassifierPool:
             model.load_state_dict(
                 load_state_dict(os.path.join(directory, filename))
             )
-            model.eval()
             history = TrainingHistory()
             history_path = os.path.join(directory, f"{name}_history.json")
             if os.path.exists(history_path):

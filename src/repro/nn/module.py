@@ -46,7 +46,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------
     # attribute-based registration
@@ -102,20 +101,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return int(sum(p.size for p in self.parameters()))
-
-    # ------------------------------------------------------------------
-    # training mode
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Recursively set training mode."""
-        object.__setattr__(self, "training", bool(mode))
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to evaluation mode."""
-        return self.train(False)
 
     # ------------------------------------------------------------------
     # precision

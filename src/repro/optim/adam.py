@@ -21,7 +21,6 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: Tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
         beta1, beta2 = betas
@@ -32,7 +31,6 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -46,8 +44,6 @@ class Adam(Optimizer):
             grad = param.grad
             if grad is None:
                 continue
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m = self._state_buffer(self._m, index, param)
             v = self._state_buffer(self._v, index, param)
             m *= self.beta1

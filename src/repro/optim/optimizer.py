@@ -45,7 +45,7 @@ class Optimizer:
     def _state_buffer(store, index, param):
         """Return ``store[index]``, re-synced to the parameter's dtype.
 
-        Keeps moment/velocity buffers in agreement with the parameter after
+        Keeps moment buffers in agreement with the parameter after
         a ``Module.to_dtype`` cast performed post-construction.
         """
         buf = store[index]

@@ -1,70 +1,16 @@
-"""Stochastic gradient descent with momentum, Nesterov and weight decay."""
+"""Plain stochastic gradient descent."""
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
-from ..nn.module import Parameter
 from .optimizer import Optimizer
 
 __all__ = ["SGD"]
 
 
 class SGD(Optimizer):
-    """SGD update ``p <- p - lr * (g + wd * p)`` with optional momentum.
-
-    Parameters
-    ----------
-    params:
-        Parameters to optimize.
-    lr:
-        Learning rate.
-    momentum:
-        Momentum coefficient; ``0`` disables the velocity buffer.
-    nesterov:
-        Use Nesterov lookahead (requires ``momentum > 0``).
-    weight_decay:
-        L2 penalty coefficient applied as decoupled gradient term.
-    """
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        if weight_decay < 0:
-            raise ValueError(
-                f"weight_decay must be non-negative, got {weight_decay}"
-            )
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+    """SGD update ``p <- p - lr * g``."""
 
     def step(self) -> None:
         """Apply one SGD update from the accumulated gradients."""
-        for index, param in enumerate(self.params):
-            grad = param.grad
-            if grad is None:
-                continue
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._state_buffer(self._velocity, index, param)
-                velocity *= self.momentum
-                velocity += grad
-                if self.nesterov:
-                    grad = grad + self.momentum * velocity
-                else:
-                    grad = velocity
+        for param, grad in self._grads():
             self._assign(param, param.data - self.lr * grad)

@@ -14,7 +14,9 @@ Each worker starts by capping numpy's OpenBLAS at one thread, so N
 workers put N BLAS threads on the cores instead of N times the default.
 The fork hooks registered by :mod:`repro.runtime.workspace` and
 :mod:`repro.telemetry` give every worker a fresh buffer pool and clean
-telemetry locks.
+telemetry locks.  With telemetry on, a worker collects the span and event
+records of each call and returns them with its result; the parent passes
+them to its own sinks, so the workers' spans land in the one run record.
 
 Results come back in input order and are computed exactly as the serial
 loop would compute them (same seeds, same kernels — just a different
@@ -31,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 import numpy as np
 
 from .. import telemetry as tel
-from ..telemetry import trace as teltrace
+from ..telemetry import core as telcore
 
 __all__ = ["WorkerCrash", "parallel_map", "resolve_workers"]
 
@@ -41,6 +43,7 @@ R = TypeVar("R")
 # Set in each worker by _init_worker; never touched in the parent.
 _worker_fn = None
 _worker_ctx = None
+_worker_traced = False
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -75,9 +78,9 @@ def _openblas():
     return None
 
 
-def _init_worker(fn, ctx, spool) -> None:
-    """Start a worker: one BLAS thread, the run's spool, the caller's trace."""
-    global _worker_fn, _worker_ctx
+def _init_worker(fn, ctx, traced) -> None:
+    """Start a worker: one BLAS thread, the caller's trace and telemetry."""
+    global _worker_fn, _worker_ctx, _worker_traced
     # A numpy built on another BLAS has no such library or symbol; the
     # cap is then a no-op.
     set_threads = getattr(
@@ -85,14 +88,31 @@ def _init_worker(fn, ctx, spool) -> None:
     )
     if set_threads is not None:
         set_threads(1)
-    if spool is not None:
-        teltrace.ensure_spool(spool)
-    _worker_fn, _worker_ctx = fn, ctx
+    _worker_fn, _worker_ctx, _worker_traced = fn, ctx, traced
 
 
 def _run(item):
+    """One call in a worker: the bare result, or ``(result, records)``."""
     with tel.trace_context(_worker_ctx):
-        return _worker_fn(item)
+        if not _worker_traced:
+            return _worker_fn(item)
+        sink = tel.InMemorySink()
+        tel.add_sink(sink)
+        try:
+            result = _worker_fn(item)
+        finally:
+            tel.remove_sink(sink)
+        return result, sink.records
+
+
+def _unpack(outcome, traced: bool):
+    """Pass a worker's records to this process's sinks; return its result."""
+    if not traced:
+        return outcome
+    result, records = outcome
+    for record in records:
+        telcore._dispatch(record)
+    return result
 
 
 def parallel_map(
@@ -120,6 +140,12 @@ def parallel_map(
     worker that dies aborts the map with :class:`WorkerCrash`, naming the
     items that had not finished — grid cells are expensive, so the caller
     decides whether to re-run.
+
+    With telemetry enabled, each item's span and event records reach this
+    process's sinks in input order, before its result is returned.  The
+    records of every finished item are passed on before
+    :class:`WorkerCrash` is raised; those of an item whose worker died or
+    whose call raised are lost.
     """
     items = list(items)
     num_workers = min(resolve_workers(num_workers), len(items))
@@ -132,31 +158,33 @@ def parallel_map(
         ProcessPoolExecutor,
     )
 
-    if tel.enabled():
-        ctx, spool = tel.current_context(), teltrace.spool_dir()
-    else:
-        ctx = spool = None
+    traced = tel.enabled()
+    ctx = tel.current_context() if traced else None
     executor = ProcessPoolExecutor(
         num_workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(fn, ctx, spool),
+        initargs=(fn, ctx, traced),
     )
     futures = []
+    results = []
     try:
         # A loop, not a comprehension: submit raises once the pool has
         # broken, and the futures made so far still name their items.
         for item in items:
             futures.append(executor.submit(_run, item))
-        return [future.result() for future in futures]
+        for future in futures:
+            results.append(_unpack(future.result(), traced))
+        return results
     except BrokenProcessPool as exc:
         # Which future breaks first is racy, so name every item without
         # a result rather than guess the one whose worker died.
-        unfinished = [
-            item
-            for index, item in enumerate(items)
-            if index >= len(futures) or futures[index].exception() is not None
-        ]
+        unfinished = []
+        for index, item in enumerate(items):
+            if index >= len(futures) or futures[index].exception() is not None:
+                unfinished.append(item)
+            elif index >= len(results):
+                _unpack(futures[index].result(), traced)
         raise WorkerCrash(
             f"a grid worker died; unfinished grid items: {unfinished!r}"
         ) from exc

@@ -107,7 +107,6 @@ class InferenceService:
         epsilon: float = 0.25,
         name: str = "model",
     ) -> None:
-        model.eval()
         self._model = model
         self.input_shape = tuple(int(d) for d in input_shape)
         self.timeout_s = float(timeout_s)

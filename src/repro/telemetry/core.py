@@ -182,9 +182,10 @@ class TraceContext(NamedTuple):
     """Propagatable trace identity: ``(trace_id, span_id)``.
 
     ``trace_id`` names the whole distributed trace; ``span_id`` the span
-    new root spans should parent on.  The tuple travels over worker
-    control pipes, thread handoffs and the ``X-Repro-Trace`` HTTP header
-    (see :mod:`repro.telemetry.trace` for the header codec).
+    new root spans should parent on.  The tuple travels to grid workers
+    through their initializer, over thread handoffs and in the
+    ``X-Repro-Trace`` HTTP header (see :mod:`repro.telemetry.trace` for
+    the header codec).
     """
 
     trace_id: str
@@ -680,7 +681,6 @@ def capture(
     jsonl: Optional[str] = None,
     sink=None,
     reset: bool = True,
-    trace_dir: Optional[str] = None,
 ) -> Iterator[List[object]]:
     """Record one run: enable telemetry and attach sinks for the scope.
 
@@ -694,32 +694,21 @@ def capture(
     reset:
         Clear the metrics registry on entry so the end-of-run snapshot
         describes exactly this scope.
-    trace_dir:
-        Spool directory for span records emitted by *other* processes
-        (forked workers) during this scope.  Defaults to
-        ``<jsonl>.spool`` when ``jsonl`` is given; the directory is only
-        created if a worker actually emits.  ``repro report --trace``
-        merges the run record with these spool files into cross-process
-        traces.
 
     On exit a ``{"type": "metrics", ...}`` snapshot record is dispatched,
     sinks opened here are closed, and the enabled flag is restored.
     Yields the list of sinks attached by this scope.
     """
-    from . import trace as trace_module  # local: keeps core free-standing
-    from .sinks import JsonlSink
+    from .sinks import JsonlSink  # local: keeps core free-standing
 
     attached = []
     if jsonl is not None:
         attached.append(JsonlSink(jsonl))
-        if trace_dir is None:
-            trace_dir = f"{jsonl}.spool"
     if sink is not None:
         attached.append(sink)
     if reset:
         _metrics.reset()
     previous = set_enabled(True)
-    previous_spool = trace_module.set_spool_dir(trace_dir)
     for item in attached:
         add_sink(item)
     try:
@@ -728,7 +717,6 @@ def capture(
         snapshot = _metrics.snapshot()
         _dispatch({"type": "metrics", "ts": time.time(), **snapshot})
         set_enabled(previous)
-        trace_module.set_spool_dir(previous_spool)
         for item in attached:
             remove_sink(item)
             close = getattr(item, "close", None)

@@ -70,7 +70,7 @@ class JsonlSink(Sink):
 
     Accepts a path (opened/owned by the sink) or an existing text stream
     (flushed but not closed).  Every record is flushed as it is written:
-    a crashed (or SIGKILLed worker) process loses at most the line it was
+    a crashed (or SIGKILLed) process loses at most the line it was
     mid-write on — which :func:`load_records` tolerates — never the spans
     that completed before the crash.
     """
@@ -196,8 +196,8 @@ def load_records(path: str) -> List[dict]:
     """Read a JSONL run record back into a list of record dicts.
 
     A truncated *final* line — the signature of a process killed mid-write
-    — is skipped rather than raised, so a crashed worker's spool is still
-    readable up to its last complete record.  Corruption anywhere else in
+    — is skipped rather than raised, so the run record of a crashed run is
+    still readable up to its last complete record.  Corruption anywhere else in
     the file still raises: that is not a crash artefact.
     """
     records = []

@@ -1,44 +1,32 @@
-"""Cross-process distributed tracing: context codec, spools, collector.
+"""Cross-process distributed tracing: context codec and collector.
 
 :mod:`repro.telemetry.core` gives every emitted span a ``trace_id`` /
-``span_id`` / ``parent_id``.  This module supplies the three pieces that
-turn those per-process records into one causally-ordered trace:
+``span_id`` / ``parent_id``.  This module supplies the two pieces that
+turn those records, whichever process emitted them, into one
+causally-ordered trace:
 
 * **Header codec** — :func:`format_trace_header` /
   :func:`parse_trace_header` serialise a
   :class:`~repro.telemetry.core.TraceContext` for the ``X-Repro-Trace``
   HTTP header (and anywhere else a string context is convenient).
-* **Spool files** — a forked worker cannot write into the parent's JSONL
-  run record (interleaved lines), so each traced process lazily opens its
-  own ``spool-<pid>-<nonce>.jsonl`` under the capture's spool directory
-  (:func:`ensure_spool`).  The :class:`~repro.telemetry.sinks.JsonlSink`
-  flushes per record, so spans survive even a SIGKILLed worker.
-* **Collector** — :class:`TraceCollector` merges the run record plus every
-  spool file, groups spans by ``trace_id``, orders them causally (parent
-  links, ties broken by wall-clock start) and renders each trace as an
-  indented tree with a cross-process waterfall
-  (``repro report RUN --trace``).
+* **Collector** — :class:`TraceCollector` reads the run record (grid
+  workers return their records to the parent, which writes them there),
+  groups spans by ``trace_id``, orders them causally (parent links, ties
+  broken by wall-clock start) and renders each trace as an indented tree
+  with a cross-process waterfall (``repro report RUN --trace``).
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import random
 from typing import Dict, List, Optional, Sequence
 
-from . import core
 from .core import TraceContext
-from .sinks import JsonlSink, load_records
+from .sinks import load_records
 
 __all__ = [
     "TRACE_HEADER",
     "format_trace_header",
     "parse_trace_header",
-    "set_spool_dir",
-    "spool_dir",
-    "ensure_spool",
-    "shutdown_spool",
     "TraceCollector",
     "render_trace",
 ]
@@ -79,105 +67,15 @@ def parse_trace_header(value: Optional[str]) -> Optional[TraceContext]:
 
 
 # ----------------------------------------------------------------------
-# Per-process spool files.
-# ----------------------------------------------------------------------
-
-_spool_dir: Optional[str] = None
-_spool_sink: Optional[JsonlSink] = None
-_spool_sink_dir: Optional[str] = None
-_spool_pid: Optional[int] = None
-
-
-def set_spool_dir(path: Optional[str]) -> Optional[str]:
-    """Set the ambient spool directory; returns the previous value.
-
-    Setting a directory costs nothing by itself — files and the directory
-    appear only when a process actually emits (:func:`ensure_spool`).
-    ``None`` disarms spooling (the value :func:`capture` restores).
-    """
-    global _spool_dir
-    previous = _spool_dir
-    _spool_dir = path
-    return previous
-
-
-def spool_dir() -> Optional[str]:
-    """The ambient spool directory, or ``None`` when spooling is off."""
-    return _spool_dir
-
-
-def ensure_spool(path: Optional[str] = None) -> Optional[JsonlSink]:
-    """Attach this process's spool sink, creating it on first use.
-
-    ``path`` overrides the ambient directory (worker control messages
-    carry the capture's spool dir explicitly, so a pool that outlives one
-    capture scope never writes into a stale spool).  Returns the attached
-    sink, or ``None`` when no spool directory is configured.  Idempotent
-    per ``(pid, directory)``; a forked child never reuses the parent's
-    sink — it opens its own file.
-    """
-    global _spool_sink, _spool_sink_dir, _spool_pid
-    directory = path if path is not None else _spool_dir
-    if directory is None:
-        return None
-    pid = os.getpid()
-    if (
-        _spool_sink is not None
-        and _spool_pid == pid
-        and _spool_sink_dir == directory
-    ):
-        return _spool_sink
-    if _spool_sink is not None and _spool_pid == pid:
-        # Same process, new capture: retire the old spool cleanly.
-        core.remove_sink(_spool_sink)
-        _spool_sink.close()
-    # A pid-mismatched sink is the parent's, inherited through fork; the
-    # fork hook already detached it from this process's sink list, and
-    # per-record flushing means its buffer holds nothing — just drop it.
-    os.makedirs(directory, exist_ok=True)
-    nonce = f"{random.getrandbits(32):08x}"
-    sink = JsonlSink(os.path.join(directory, f"spool-{pid}-{nonce}.jsonl"))
-    core.add_sink(sink)
-    _spool_sink = sink
-    _spool_sink_dir = directory
-    _spool_pid = pid
-    return sink
-
-
-def shutdown_spool() -> None:
-    """Detach and close this process's spool sink (tests, clean exits)."""
-    global _spool_sink, _spool_sink_dir, _spool_pid
-    if _spool_sink is not None and _spool_pid == os.getpid():
-        core.remove_sink(_spool_sink)
-        _spool_sink.close()
-    _spool_sink = None
-    _spool_sink_dir = None
-    _spool_pid = None
-
-
-def _reset_spool_after_fork() -> None:
-    # The child must never write the parent's spool file; its own sink is
-    # recreated lazily on first traced work.
-    global _spool_sink, _spool_sink_dir, _spool_pid
-    _spool_sink = None
-    _spool_sink_dir = None
-    _spool_pid = None
-
-
-os.register_at_fork(after_in_child=_reset_spool_after_fork)
-
-
-# ----------------------------------------------------------------------
-# Collector: merge, order, render.
+# Collector: group, order, render.
 # ----------------------------------------------------------------------
 
 class TraceCollector:
     """Merge span records from many processes into per-trace trees.
 
-    Feed it record lists (:meth:`add`) or JSONL files (:meth:`add_file`);
-    :meth:`from_run` loads a run record *plus* its spool directory in one
-    call.  Only span records carrying a ``trace_id`` participate —
-    legacy records and metrics/event records are ignored.
+    Feed it record lists (:meth:`add`) or a run record (:meth:`from_run`).
+    Only span records carrying a ``trace_id`` participate — legacy
+    records and metrics/event records are ignored.
     """
 
     def __init__(self, records: Sequence[dict] = ()) -> None:
@@ -193,29 +91,10 @@ class TraceCollector:
                 self.spans.append(record)
         return self
 
-    def add_file(self, path: str) -> "TraceCollector":
-        """Load one JSONL record file (run record or spool file)."""
-        return self.add(load_records(path))
-
     @classmethod
-    def from_run(
-        cls, path: str, spool: Optional[str] = None
-    ) -> "TraceCollector":
-        """Collector over a run record and its spool directory.
-
-        ``spool`` defaults to ``<path>.spool`` — the directory
-        :func:`~repro.telemetry.core.capture` arms for worker processes.
-        A missing directory just means the run was single-process.
-        """
-        collector = cls()
-        collector.add_file(path)
-        directory = f"{path}.spool" if spool is None else spool
-        if os.path.isdir(directory):
-            for spool_path in sorted(
-                glob.glob(os.path.join(directory, "*.jsonl"))
-            ):
-                collector.add_file(spool_path)
-        return collector
+    def from_run(cls, path: str) -> "TraceCollector":
+        """Collector over one JSONL run record."""
+        return cls(load_records(path))
 
     # -- grouping ------------------------------------------------------
     def traces(self) -> Dict[str, List[dict]]:
@@ -316,12 +195,10 @@ class TraceCollector:
         return "\n\n".join(self.render_one(t, width=width) for t in ids)
 
 
-def render_trace(
-    source, trace_id: Optional[str] = None, spool: Optional[str] = None
-) -> str:
+def render_trace(source, trace_id: Optional[str] = None) -> str:
     """Convenience: run-record path (or record list) -> rendered traces."""
     if isinstance(source, (str, bytes)):
-        collector = TraceCollector.from_run(source, spool=spool)
+        collector = TraceCollector.from_run(source)
     else:
         collector = TraceCollector(source)
     return collector.render(trace_id)

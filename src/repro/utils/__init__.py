@@ -13,7 +13,6 @@ from .validation import (
     check_image_batch,
     check_in_unit_interval,
     check_labels,
-    check_non_negative,
     check_positive,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "load_json",
     "to_jsonable",
     "check_positive",
-    "check_non_negative",
     "check_in_unit_interval",
     "check_image_batch",
     "check_labels",

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "check_positive",
-    "check_non_negative",
     "check_in_unit_interval",
     "check_image_batch",
     "check_labels",
@@ -23,12 +22,6 @@ def check_positive(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def check_non_negative(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 def check_in_unit_interval(name: str, value) -> None:

@@ -30,9 +30,7 @@ EPS = 0.25
 @pytest.fixture(scope="module")
 def model(digits_small):
     train, _test = digits_small
-    model = mnist_mlp(seed=0)
-    model.eval()
-    return model
+    return mnist_mlp(seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,7 @@ from repro.nn import cross_entropy
 
 @pytest.fixture(scope="module")
 def model():
-    net = small_cnn(image_size=8, seed=0)
-    net.eval()
-    return net
+    return small_cnn(image_size=8, seed=0)
 
 
 def loss_value(model, x, y):

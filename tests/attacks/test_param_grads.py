@@ -101,7 +101,6 @@ def test_update_is_gradient_of_training_loss(method, digits_small,
     replay = _fresh_trainer(method)
     owner, name = _hook_owner(replay, method)
     monkeypatch.setattr(owner, name, lambda *args: crafted[0])
-    replay.model.train()
     replay.compute_batch_loss(batch).backward()
     expected = [p.grad for p in replay.model.parameters()]
     assert len(expected) == len(seen[0])

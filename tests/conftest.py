@@ -45,7 +45,6 @@ def trained_mlp(digits_small):
     model = mnist_mlp(seed=0)
     trainer = Trainer(model, Adam(model.parameters(), lr=2e-3))
     trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=10)
-    model.eval()
     return model
 
 

@@ -41,12 +41,6 @@ class TestFit:
         x, y = test.arrays()
         assert (trainer.model.predict(x) == y).mean() > 0.85
 
-    def test_model_left_in_eval_mode(self, digits_small):
-        train, _ = digits_small
-        trainer = make_trainer()
-        trainer.fit(DataLoader(train, batch_size=64, rng=0), epochs=1)
-        assert not trainer.model.training
-
     def test_epoch_counter_advances(self, digits_small):
         train, _ = digits_small
         trainer = make_trainer()

@@ -62,9 +62,6 @@ class TestFlagLogic:
 
             num_classes = 10
 
-            def eval(self):
-                return self
-
             def __call__(self, tensor):
                 flat = tensor.reshape((tensor.shape[0], -1))
                 return flat @ random_direction

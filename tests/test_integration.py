@@ -71,8 +71,6 @@ class TestCheckpointResume:
 
         clone = mnist_mlp(seed=123)  # different init, then overwritten
         clone.load_state_dict(load_state_dict(path))
-        clone.eval()
-        model.eval()
 
         adv_a = BIM(model, 0.2, num_steps=3).generate(x[:16], y[:16])
         adv_b = BIM(clone, 0.2, num_steps=3).generate(x[:16], y[:16])

@@ -7,7 +7,6 @@ from repro.utils import (
     check_image_batch,
     check_in_unit_interval,
     check_labels,
-    check_non_negative,
     check_positive,
 )
 
@@ -17,11 +16,6 @@ class TestScalarChecks:
         check_positive("x", 1)
         with pytest.raises(ValueError, match="x must be positive"):
             check_positive("x", 0)
-
-    def test_non_negative(self):
-        check_non_negative("x", 0)
-        with pytest.raises(ValueError):
-            check_non_negative("x", -1)
 
     def test_unit_interval(self):
         check_in_unit_interval("x", 0.0)
