@@ -41,9 +41,11 @@ def margin_loss(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
     n, c = logits.shape
     target_mask = one_hot(labels, c)
     true_logit = (logits * Tensor(target_mask)).sum(axis=1)
-    # Exclude the true class from the max by pushing it to -inf-ish.
-    penalty = Tensor(target_mask * 1e9)
-    best_other = (logits - penalty).max(axis=1)
+    # The best wrong class is picked on the values, with the true class
+    # pushed to -inf-ish (ties go to the lower class index); indexing
+    # routes the gradient to that one logit.
+    best_class = np.argmax(logits.data - target_mask * 1e9, axis=1)
+    best_other = logits[np.arange(n), best_class]
     margin = best_other - true_logit
     if reduction == "mean":
         return margin.mean()

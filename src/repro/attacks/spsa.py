@@ -15,13 +15,10 @@ attacks diverge.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..autograd import Tensor, no_grad
 from ..utils.rng import RngLike, ensure_rng
 from ..utils.validation import check_positive
 from .bim import BIM
-from .loop import LoopState, SpsaGradient
+from .loop import SpsaGradient
 
 __all__ = ["SPSA"]
 
@@ -84,18 +81,3 @@ class SPSA(BIM):
             delta=self.delta,
             rng=self._rng,
         )
-
-    # ------------------------------------------------------------------
-    # Thin delegates kept for diagnostics and backwards compatibility.
-    # ------------------------------------------------------------------
-    def _loss_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-example loss, computed without building a graph."""
-        with no_grad():
-            logits = self.model(Tensor(x))
-            per_example = self.loss_fn(logits, y, reduction="none")
-        return per_example.data
-
-    def _estimate_gradient(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        return self._make_estimator()(x, y, LoopState())

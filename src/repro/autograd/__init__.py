@@ -25,23 +25,7 @@ from .engine import (
     set_grad_enabled,
 )
 from .grad_check import check_gradients, numerical_gradient
-from .ops_basic import (
-    abs_,
-    add,
-    clip,
-    div,
-    exp,
-    log,
-    maximum,
-    minimum,
-    mul,
-    neg,
-    pow_,
-    sign,
-    sqrt,
-    sub,
-    where,
-)
+from .ops_basic import abs_, add, mul, neg, sub
 from .ops_loss import softmax_cross_entropy
 from .ops_nn import (
     avg_pool2d,
@@ -52,20 +36,10 @@ from .ops_nn import (
     max_pool2d,
     relu,
     sigmoid,
-    softmax,
     tanh,
 )
-from .ops_reduce import logsumexp, max_, mean, min_, std, sum_, var
-from .ops_shape import (
-    broadcast_to,
-    concat,
-    flatten,
-    getitem,
-    pad,
-    reshape,
-    stack,
-    transpose,
-)
+from .ops_reduce import logsumexp, mean, sum_
+from .ops_shape import flatten, getitem, reshape, transpose
 
 __all__ = [
     "Tensor",
@@ -80,25 +54,14 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
-    "pow_",
-    "exp",
-    "log",
-    "sqrt",
     "abs_",
-    "clip",
-    "sign",
-    "maximum",
-    "minimum",
-    "where",
     # nn
     "matmul",
     "relu",
     "leaky_relu",
     "sigmoid",
     "tanh",
-    "softmax",
     "log_softmax",
     "conv2d",
     "max_pool2d",
@@ -108,18 +71,10 @@ __all__ = [
     # reduce
     "sum_",
     "mean",
-    "max_",
-    "min_",
-    "var",
-    "std",
     "logsumexp",
     # shape
     "reshape",
     "transpose",
     "getitem",
-    "concat",
-    "stack",
-    "pad",
-    "broadcast_to",
     "flatten",
 ]

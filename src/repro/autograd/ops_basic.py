@@ -1,8 +1,8 @@
 """Elementwise arithmetic operations with broadcasting-aware gradients.
 
-Importing this module attaches the standard Python operator overloads
-(``+``, ``-``, ``*``, ``/``, ``**``, unary ``-``) and elementwise math
-methods (``exp``, ``log``, ``sqrt``, ...) onto :class:`~repro.autograd.Tensor`.
+Importing this module attaches the Python operator overloads ``+``, ``-``,
+``*`` and unary ``-`` and the ``abs`` method onto
+:class:`~repro.autograd.Tensor`.
 """
 
 from __future__ import annotations
@@ -11,23 +11,7 @@ import numpy as np
 
 from .engine import Function, Tensor, as_tensor
 
-__all__ = [
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "pow_",
-    "exp",
-    "log",
-    "sqrt",
-    "abs_",
-    "clip",
-    "sign",
-    "maximum",
-    "minimum",
-    "where",
-]
+__all__ = ["add", "sub", "mul", "neg", "abs_"]
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -99,23 +83,6 @@ class Mul(Function):
         )
 
 
-class Div(Function):
-    """Elementwise division with broadcasting."""
-    @staticmethod
-    def forward(ctx, a, b):
-        ctx.save_for_backward(a, b)
-        return a / b
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        a, b = ctx.saved
-        return (
-            unbroadcast(grad_output / b, a.shape) if ctx.needs(0) else None,
-            unbroadcast(-grad_output * a / (b * b), b.shape)
-            if ctx.needs(1) else None,
-        )
-
-
 class Neg(Function):
     """Elementwise negation."""
     @staticmethod
@@ -125,62 +92,6 @@ class Neg(Function):
     @staticmethod
     def backward(ctx, grad_output):
         return (-grad_output,)
-
-
-class Pow(Function):
-    """Elementwise power with a constant exponent."""
-    @staticmethod
-    def forward(ctx, a, exponent):
-        ctx.save_for_backward(a, exponent)
-        return a ** exponent
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        a, exponent = ctx.saved
-        if not ctx.needs(0):
-            return (None, None)
-        return (grad_output * exponent * a ** (exponent - 1), None)
-
-
-class Exp(Function):
-    """Elementwise exponential."""
-    @staticmethod
-    def forward(ctx, a):
-        out = np.exp(a)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        (out,) = ctx.saved
-        return (grad_output * out,)
-
-
-class Log(Function):
-    """Elementwise natural logarithm."""
-    @staticmethod
-    def forward(ctx, a):
-        ctx.save_for_backward(a)
-        return np.log(a)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        (a,) = ctx.saved
-        return (grad_output / a,)
-
-
-class Sqrt(Function):
-    """Elementwise square root."""
-    @staticmethod
-    def forward(ctx, a):
-        out = np.sqrt(a)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        (out,) = ctx.saved
-        return (grad_output / (2.0 * out),)
 
 
 class Abs(Function):
@@ -194,77 +105,6 @@ class Abs(Function):
     def backward(ctx, grad_output):
         (sgn,) = ctx.saved
         return (grad_output * sgn,)
-
-
-class Clip(Function):
-    """Elementwise clamp; gradient flows only through the interior."""
-
-    @staticmethod
-    def forward(ctx, a, low, high):
-        mask = (a >= low) & (a <= high)
-        ctx.save_for_backward(mask)
-        return np.clip(a, low, high)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        (mask,) = ctx.saved
-        return (grad_output * mask, None, None)
-
-
-class Maximum(Function):
-    """Elementwise maximum; ties route gradient to the first arg."""
-    @staticmethod
-    def forward(ctx, a, b):
-        mask = a >= b
-        ctx.save_for_backward(mask, a.shape, b.shape)
-        return np.maximum(a, b)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        mask, a_shape, b_shape = ctx.saved
-        return (
-            unbroadcast(grad_output * mask, a_shape) if ctx.needs(0) else None,
-            unbroadcast(grad_output * ~mask, b_shape)
-            if ctx.needs(1) else None,
-        )
-
-
-class Minimum(Function):
-    """Elementwise minimum; ties route gradient to the first arg."""
-    @staticmethod
-    def forward(ctx, a, b):
-        mask = a <= b
-        ctx.save_for_backward(mask, a.shape, b.shape)
-        return np.minimum(a, b)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        mask, a_shape, b_shape = ctx.saved
-        return (
-            unbroadcast(grad_output * mask, a_shape) if ctx.needs(0) else None,
-            unbroadcast(grad_output * ~mask, b_shape)
-            if ctx.needs(1) else None,
-        )
-
-
-class Where(Function):
-    """``where(condition, a, b)``; the condition is non-differentiable."""
-
-    @staticmethod
-    def forward(ctx, condition, a, b):
-        cond = condition.astype(bool)
-        ctx.save_for_backward(cond, a.shape, b.shape)
-        return np.where(cond, a, b)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        cond, a_shape, b_shape = ctx.saved
-        return (
-            None,
-            unbroadcast(grad_output * cond, a_shape) if ctx.needs(1) else None,
-            unbroadcast(grad_output * ~cond, b_shape)
-            if ctx.needs(2) else None,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -285,70 +125,14 @@ def mul(a, b):
     return Mul.apply(as_tensor(a), as_tensor(b))
 
 
-def div(a, b):
-    """Elementwise ``a / b`` with broadcasting."""
-    return Div.apply(as_tensor(a), as_tensor(b))
-
-
 def neg(a):
     """Elementwise ``-a``."""
     return Neg.apply(as_tensor(a))
 
 
-def pow_(a, exponent):
-    """Elementwise ``a ** exponent`` for a constant exponent."""
-    if isinstance(exponent, Tensor):
-        raise TypeError("tensor exponents are not supported; use exp/log")
-    return Pow.apply(as_tensor(a), exponent)
-
-
-def exp(a):
-    """Elementwise ``exp(a)``."""
-    return Exp.apply(as_tensor(a))
-
-
-def log(a):
-    """Elementwise natural log of ``a``."""
-    return Log.apply(as_tensor(a))
-
-
-def sqrt(a):
-    """Elementwise square root of ``a``."""
-    return Sqrt.apply(as_tensor(a))
-
-
 def abs_(a):
     """Elementwise absolute value of ``a``."""
     return Abs.apply(as_tensor(a))
-
-
-def clip(a, low, high):
-    """Differentiable clamp of ``a`` into ``[low, high]``."""
-    return Clip.apply(as_tensor(a), float(low), float(high))
-
-
-def sign(a) -> Tensor:
-    """Elementwise sign.  Non-differentiable: the result is detached."""
-    a = as_tensor(a)
-    return Tensor(np.sign(a.data))
-
-
-def maximum(a, b):
-    """Elementwise maximum of two tensors."""
-    return Maximum.apply(as_tensor(a), as_tensor(b))
-
-
-def minimum(a, b):
-    """Elementwise minimum of two tensors."""
-    return Minimum.apply(as_tensor(a), as_tensor(b))
-
-
-def where(condition, a, b):
-    """Elementwise select: ``a`` where condition else ``b``."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    # The condition is a non-differentiable mask; keep it boolean so the
-    # backward multiply never promotes the value operands' dtype.
-    return Where.apply(Tensor(cond.astype(bool)), as_tensor(a), as_tensor(b))
 
 
 # ----------------------------------------------------------------------
@@ -360,21 +144,6 @@ Tensor.__sub__ = sub
 Tensor.__rsub__ = lambda self, other: sub(other, self)
 Tensor.__mul__ = mul
 Tensor.__rmul__ = lambda self, other: mul(other, self)
-Tensor.__truediv__ = div
-Tensor.__rtruediv__ = lambda self, other: div(other, self)
 Tensor.__neg__ = neg
-Tensor.__pow__ = pow_
 
-Tensor.exp = exp
-Tensor.log = log
-Tensor.sqrt = sqrt
 Tensor.abs = abs_
-Tensor.clip = clip
-Tensor.sign = sign
-
-# Comparison operators produce detached boolean tensors; they are used for
-# masking, never differentiated through.
-Tensor.__gt__ = lambda self, other: Tensor(self.data > as_tensor(other).data)
-Tensor.__lt__ = lambda self, other: Tensor(self.data < as_tensor(other).data)
-Tensor.__ge__ = lambda self, other: Tensor(self.data >= as_tensor(other).data)
-Tensor.__le__ = lambda self, other: Tensor(self.data <= as_tensor(other).data)

@@ -1,4 +1,4 @@
-"""Neural-network operations: matmul, activations, softmax, conv, pooling.
+"""Neural-network operations: matmul, activations, log-softmax, conv, pooling.
 
 Importing this module attaches ``matmul``/``@`` and activation methods onto
 :class:`~repro.autograd.Tensor`.
@@ -18,19 +18,8 @@ from ._im2col import (
     scatter_columns,
 )
 from .engine import Function, Tensor, as_tensor, is_grad_enabled
+from .ops_basic import unbroadcast
 from .ops_reduce import logsumexp
-
-_UNBROADCAST = None
-
-
-def _unbroadcast():
-    """Lazy module-level handle on ops_basic.unbroadcast (circular import)."""
-    global _UNBROADCAST
-    if _UNBROADCAST is None:
-        from .ops_basic import unbroadcast
-
-        _UNBROADCAST = unbroadcast
-    return _UNBROADCAST
 
 
 __all__ = [
@@ -39,7 +28,6 @@ __all__ = [
     "leaky_relu",
     "sigmoid",
     "tanh",
-    "softmax",
     "log_softmax",
     "conv2d",
     "max_pool2d",
@@ -58,7 +46,6 @@ class MatMul(Function):
     def backward(ctx, grad_output):
         a, b = ctx.saved
         # Batched matmul may broadcast leading dims; sum them back.
-        unbroadcast = _unbroadcast()
         grad_a = grad_b = None
         # A length-1 contraction axis makes the GEMM an outer product: a
         # broadcast multiply computes the identical single products (no
@@ -133,23 +120,6 @@ class Tanh(Function):
     def backward(ctx, grad_output):
         (out,) = ctx.saved
         return (grad_output * (1.0 - out * out),)
-
-
-class Softmax(Function):
-    """Softmax along an axis (stable shift-by-max form)."""
-    @staticmethod
-    def forward(ctx, a, axis=-1):
-        shifted = a - a.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out = exp / exp.sum(axis=axis, keepdims=True)
-        ctx.save_for_backward(out, axis)
-        return out
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        out, axis = ctx.saved
-        dot = (grad_output * out).sum(axis=axis, keepdims=True)
-        return (out * (grad_output - dot),)
 
 
 # Bytes of one block of the conv column matrix: Conv2d builds and consumes
@@ -468,11 +438,6 @@ def tanh(a):
     return Tanh.apply(as_tensor(a))
 
 
-def softmax(a, axis: int = -1):
-    """Softmax of ``a`` along ``axis``."""
-    return Softmax.apply(as_tensor(a), axis=axis)
-
-
 def log_softmax(a, axis: int = -1):
     """Numerically stable ``log(softmax(a))`` built on logsumexp."""
     a = as_tensor(a)
@@ -506,5 +471,4 @@ Tensor.__matmul__ = matmul
 Tensor.relu = relu
 Tensor.sigmoid = sigmoid
 Tensor.tanh = tanh
-Tensor.softmax = softmax
 Tensor.log_softmax = log_softmax

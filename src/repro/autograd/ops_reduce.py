@@ -1,4 +1,4 @@
-"""Reduction operations (sum, mean, max, min, var, std, logsumexp).
+"""Reduction operations (sum, mean, logsumexp).
 
 Importing this module attaches the reduction methods onto
 :class:`~repro.autograd.Tensor`.
@@ -10,7 +10,7 @@ import numpy as np
 
 from .engine import Function, Tensor, as_tensor
 
-__all__ = ["sum_", "mean", "max_", "min_", "var", "std", "logsumexp"]
+__all__ = ["sum_", "mean", "logsumexp"]
 
 
 def _normalize_axis(axis, ndim):
@@ -66,31 +66,6 @@ class Mean(Function):
         return (np.broadcast_to(grad, input_shape).copy() / count,)
 
 
-class MaxMin(Function):
-    """Shared implementation for max/min reductions.
-
-    Ties propagate gradient equally to every attaining element, matching the
-    subgradient convention used by numerical checking.
-    """
-
-    @staticmethod
-    def forward(ctx, a, axis=None, keepdims=False, mode="max"):
-        axis = _normalize_axis(axis, a.ndim)
-        reducer = np.max if mode == "max" else np.min
-        out = reducer(a, axis=axis, keepdims=keepdims)
-        out_expanded = reducer(a, axis=axis, keepdims=True)
-        mask = (a == out_expanded).astype(a.dtype)
-        mask /= mask.sum(axis=axis, keepdims=True)
-        ctx.save_for_backward(a.shape, axis, keepdims, mask)
-        return out
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        input_shape, axis, keepdims, mask = ctx.saved
-        grad = _expand_reduced(grad_output, input_shape, axis, keepdims)
-        return (np.broadcast_to(grad, input_shape) * mask,)
-
-
 class LogSumExp(Function):
     """Numerically stable ``log(sum(exp(a)))`` along an axis."""
 
@@ -126,32 +101,6 @@ def mean(a, axis=None, keepdims=False):
     return Mean.apply(as_tensor(a), axis=axis, keepdims=keepdims)
 
 
-def max_(a, axis=None, keepdims=False):
-    """Maximum of ``a`` over ``axis`` (ties share gradient)."""
-    return MaxMin.apply(as_tensor(a), axis=axis, keepdims=keepdims, mode="max")
-
-
-def min_(a, axis=None, keepdims=False):
-    """Minimum of ``a`` over ``axis`` (ties share gradient)."""
-    return MaxMin.apply(as_tensor(a), axis=axis, keepdims=keepdims, mode="min")
-
-
-def var(a, axis=None, keepdims=False):
-    """Population variance built from differentiable primitives."""
-    a = as_tensor(a)
-    mu = mean(a, axis=axis, keepdims=True)
-    sq = (a - mu) * (a - mu)
-    return mean(sq, axis=axis, keepdims=keepdims)
-
-
-def std(a, axis=None, keepdims=False, eps: float = 0.0):
-    """Population standard deviation; ``eps`` stabilises the sqrt at 0."""
-    v = var(a, axis=axis, keepdims=keepdims)
-    if eps:
-        v = v + eps
-    return v.sqrt()
-
-
 def logsumexp(a, axis=-1, keepdims=False):
     """Numerically stable ``log(sum(exp(a)))`` over ``axis``."""
     return LogSumExp.apply(as_tensor(a), axis=axis, keepdims=keepdims)
@@ -159,8 +108,4 @@ def logsumexp(a, axis=-1, keepdims=False):
 
 Tensor.sum = sum_
 Tensor.mean = mean
-Tensor.max = max_
-Tensor.min = min_
-Tensor.var = var
-Tensor.std = std
 Tensor.logsumexp = logsumexp

@@ -1,4 +1,4 @@
-"""Shape-manipulation operations (reshape, transpose, indexing, concat, pad).
+"""Shape-manipulation operations (reshape, transpose, indexing, flatten).
 
 Importing this module attaches the shape methods onto
 :class:`~repro.autograd.Tensor`.
@@ -14,10 +14,6 @@ __all__ = [
     "reshape",
     "transpose",
     "getitem",
-    "concat",
-    "stack",
-    "pad",
-    "broadcast_to",
     "flatten",
 ]
 
@@ -66,53 +62,6 @@ class GetItem(Function):
         return (grad, None)
 
 
-class Concat(Function):
-    """Concatenation along an axis."""
-    @staticmethod
-    def forward(ctx, *arrays, axis=0):
-        ctx.save_for_backward(axis, [a.shape[axis] for a in arrays])
-        return np.concatenate(arrays, axis=axis)
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        axis, sizes = ctx.saved
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(grad_output, splits, axis=axis))
-
-
-class Pad(Function):
-    """Zero padding with ``numpy.pad``-style ``pad_width``."""
-
-    @staticmethod
-    def forward(ctx, a, pad_width):
-        ctx.save_for_backward(pad_width, a.shape)
-        return np.pad(a, pad_width, mode="constant")
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        pad_width, input_shape = ctx.saved
-        slices = tuple(
-            slice(before, before + size)
-            for (before, _after), size in zip(pad_width, input_shape)
-        )
-        return (grad_output[slices], None)
-
-
-class BroadcastTo(Function):
-    """Explicit broadcast to a target shape."""
-    @staticmethod
-    def forward(ctx, a, shape):
-        ctx.save_for_backward(a.shape)
-        return np.broadcast_to(a, shape).copy()
-
-    @staticmethod
-    def backward(ctx, grad_output):
-        from .ops_basic import unbroadcast
-
-        (input_shape,) = ctx.saved
-        return (unbroadcast(grad_output, input_shape), None)
-
-
 def reshape(a, *shape):
     """Reshape ``a`` (accepts a tuple or varargs)."""
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -134,33 +83,6 @@ def getitem(a, index):
             i.data if isinstance(i, Tensor) else i for i in index
         )
     return GetItem.apply(as_tensor(a), index)
-
-
-def concat(tensors, axis=0):
-    """Concatenate tensors along ``axis``."""
-    return Concat.apply(*[as_tensor(t) for t in tensors], axis=axis)
-
-
-def stack(tensors, axis=0):
-    """Stack tensors along a new ``axis``."""
-    expanded = []
-    for t in tensors:
-        t = as_tensor(t)
-        new_shape = list(t.shape)
-        new_shape.insert(axis if axis >= 0 else axis + t.ndim + 1, 1)
-        expanded.append(reshape(t, tuple(new_shape)))
-    return concat(expanded, axis=axis)
-
-
-def pad(a, pad_width):
-    """Zero-pad ``a`` with numpy-style ``pad_width``."""
-    pad_width = tuple(tuple(int(x) for x in pair) for pair in pad_width)
-    return Pad.apply(as_tensor(a), pad_width)
-
-
-def broadcast_to(a, shape):
-    """Broadcast ``a`` to ``shape``."""
-    return BroadcastTo.apply(as_tensor(a), tuple(shape))
 
 
 def flatten(a, start_axis: int = 1):

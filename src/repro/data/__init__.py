@@ -1,6 +1,5 @@
-"""Data pipeline: datasets, loaders, transforms, synthetic generators."""
+"""Data pipeline: datasets, loaders, shard sources, synthetic generators."""
 
-from .corruptions import CORRUPTIONS, corrupt, corruption_sweep
 from .dataset import Dataset, TensorDataset
 from .loader import Batch, DataLoader
 from .source import (
@@ -17,13 +16,6 @@ from .synthetic import (
     dataset_epsilon,
     load_dataset,
     load_test_split,
-)
-from .transforms import (
-    ClipToUnit,
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomShift,
 )
 
 __all__ = [
@@ -42,12 +34,4 @@ __all__ = [
     "load_dataset",
     "load_test_split",
     "dataset_epsilon",
-    "Compose",
-    "Normalize",
-    "ClipToUnit",
-    "GaussianNoise",
-    "RandomShift",
-    "CORRUPTIONS",
-    "corrupt",
-    "corruption_sweep",
 ]

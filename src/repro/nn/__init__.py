@@ -16,7 +16,6 @@ from .layers import (
     Reshape,
     Sequential,
     Sigmoid,
-    Softmax,
     Tanh,
 )
 from .losses import CrossEntropyLoss, cross_entropy, one_hot
@@ -35,7 +34,6 @@ __all__ = [
     "LeakyReLU",
     "Sigmoid",
     "Tanh",
-    "Softmax",
     "Flatten",
     "Reshape",
     "Sequential",

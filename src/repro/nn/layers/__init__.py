@@ -1,6 +1,6 @@
 """Neural-network layers."""
 
-from .activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .container import Sequential
 from .conv import Conv2d
 from .dense import Dense
@@ -16,7 +16,6 @@ __all__ = [
     "LeakyReLU",
     "Sigmoid",
     "Tanh",
-    "Softmax",
     "Flatten",
     "Reshape",
     "Sequential",

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ...autograd import Tensor, leaky_relu, relu, sigmoid, softmax, tanh
+from ...autograd import Tensor, leaky_relu, relu, sigmoid, tanh
 from ..module import Module
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax"]
+__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
 class ReLU(Module):
@@ -47,18 +47,3 @@ class Tanh(Module):
         """Apply the activation to ``x``."""
         return tanh(x)
 
-
-class Softmax(Module):
-    """Softmax along a configurable axis (default: class axis)."""
-
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply the activation to ``x``."""
-        return softmax(x, axis=self.axis)
-
-    def extra_repr(self) -> str:
-        """Hyper-parameter summary for repr()."""
-        return f"axis={self.axis}"

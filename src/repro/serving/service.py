@@ -6,8 +6,8 @@ operations the HTTP layer (and tests, which drive it in-process) need:
 * :meth:`classify_many` — every example of a request is looked up in an
   LRU **prediction cache**; the misses go together to the
   :class:`~repro.serving.batching.MicroBatcher`, which coalesces
-  concurrent requests into one batched forward pass through the
-  pooled-workspace kernels.  A single example is a batch of one;
+  concurrent requests into one batched forward pass under ``no_grad``.
+  A single example is a batch of one;
 * :meth:`audit` — robust accuracy of the served model under any attack
   from the registry's ``name:param=value`` spec grammar;
 * :meth:`healthz` / :meth:`metrics` — liveness and the process-wide
@@ -76,8 +76,8 @@ class InferenceService:
     Parameters
     ----------
     model:
-        Trained classifier (switched to eval mode; must not be mutated
-        while served — the prediction cache assumes frozen parameters).
+        Trained classifier (must not be mutated while served — the
+        prediction cache assumes frozen parameters).
     input_shape:
         Per-example shape the model expects (channels, height, width).
     max_batch_size / queue_depth:

@@ -15,7 +15,7 @@ Spans keep a thread-local stack and fold their durations into their
 parents, so one per-epoch record carries the whole phase breakdown.
 Counters/gauges/histograms accumulate in a process-wide registry that is
 snapshotted into the run record when a :func:`capture` scope closes.
-Records flow to pluggable sinks (in-memory, JSONL, console/CSV summary);
+Records flow to pluggable sinks (in-memory, JSONL, console events);
 ``repro report run.jsonl`` renders a captured run into the Table-I-style
 per-epoch/per-phase timing table.
 
@@ -53,7 +53,6 @@ from .sinks import (
     InMemorySink,
     JsonlSink,
     Sink,
-    SummarySink,
     load_records,
 )
 from .bench import (
@@ -94,7 +93,6 @@ __all__ = [
     "InMemorySink",
     "JsonlSink",
     "ConsoleEvents",
-    "SummarySink",
     "load_records",
     "RunReport",
     "build_report",

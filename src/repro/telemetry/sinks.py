@@ -1,4 +1,4 @@
-"""Pluggable telemetry sinks: in-memory, JSONL stream, console/CSV summary.
+"""Pluggable telemetry sinks: in-memory, JSONL stream, console events.
 
 A sink is any object with ``emit(record: dict)`` (and optionally
 ``close()``).  Records are plain dicts with a ``"type"`` key:
@@ -10,13 +10,12 @@ A sink is any object with ``emit(record: dict)`` (and optionally
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-__all__ = ["Sink", "InMemorySink", "JsonlSink", "ConsoleEvents", "SummarySink"]
+__all__ = ["Sink", "InMemorySink", "JsonlSink", "ConsoleEvents"]
 
 
 class Sink:
@@ -133,63 +132,6 @@ class ConsoleEvents(Sink):
         if fields:
             line = f"{line} {fields}"
         print(line, file=self.stream if self.stream is not None else sys.stdout)
-
-
-class SummarySink(Sink):
-    """Aggregate span records and render an end-of-run summary table.
-
-    On :meth:`close` the per-name aggregate (count, total seconds, mean
-    seconds) plus any captured counters are rendered to ``stream`` and/or
-    written as CSV rows to ``csv_path``.
-    """
-
-    def __init__(self, stream=None, csv_path: Optional[str] = None) -> None:
-        self.stream = stream
-        self.csv_path = csv_path
-        self._spans: Dict[str, List[float]] = {}
-        self._metrics: Optional[dict] = None
-
-    def emit(self, record: dict) -> None:
-        kind = record.get("type")
-        if kind == "span":
-            entry = self._spans.setdefault(record["name"], [0, 0.0])
-            entry[0] += 1
-            entry[1] += record.get("duration", 0.0)
-        elif kind == "metrics":
-            self._metrics = record
-
-    def rows(self) -> List[List[str]]:
-        """The summary table rows: name, count, total s, mean s."""
-        out = []
-        for name in sorted(self._spans):
-            count, total = self._spans[name]
-            out.append([
-                name, str(int(count)), f"{total:.4f}",
-                f"{total / count:.4f}" if count else "0.0000",
-            ])
-        return out
-
-    def render(self) -> str:
-        """Plain-text summary of span aggregates and counters."""
-        lines = ["telemetry summary", "span            count  total_s  mean_s"]
-        for name, count, total, mean in self.rows():
-            lines.append(f"{name:<15s} {count:>5s}  {total:>7s}  {mean:>6s}")
-        if self._metrics:
-            counters = self._metrics.get("counters", {})
-            if counters:
-                lines.append("counters:")
-                for name in sorted(counters):
-                    lines.append(f"  {name} = {counters[name]:g}")
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        if self.csv_path is not None:
-            with open(self.csv_path, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["span", "count", "total_s", "mean_s"])
-                writer.writerows(self.rows())
-        if self.stream is not None:
-            print(self.render(), file=self.stream)
 
 
 def load_records(path: str) -> List[dict]:

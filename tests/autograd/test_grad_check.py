@@ -3,15 +3,21 @@
 The second half of this module runs ``check_gradients`` over **every**
 ``Function`` subclass the autograd package registers (including the fused
 ``SoftmaxCrossEntropy`` loss), with a final exhaustiveness test that fails
-when a newly added op has no gradient-check case here.
+when a newly added op has no gradient-check case here, and a reach test
+that fails when no trainer or attack applies a registered op.
 """
 
 import numpy as np
 import pytest
 
+from repro.attacks import attack_names, build_attack
 from repro.autograd import Tensor, check_gradients, numerical_gradient
 from repro.autograd import ops_basic, ops_loss, ops_nn, ops_reduce, ops_shape
 from repro.autograd.engine import Function
+from repro.data import DataLoader, TensorDataset
+from repro.defenses import build_trainer, defense_names
+from repro.models import MODEL_BUILDERS
+from tests.helpers import count_passes
 
 
 def test_numerical_gradient_of_square():
@@ -48,11 +54,11 @@ def test_check_gradients_coerces_raw_arrays():
 # Exhaustive per-op gradient checks
 # --------------------------------------------------------------------------
 # One numerical-vs-analytical case for every Function subclass the autograd
-# package registers.  Inputs are chosen away from kinks (ReLU/Abs zeros,
-# clip bounds, max/min ties) so the central difference is well defined, and
-# pool/argmax inputs use irrational-ish values so a +/-eps nudge cannot flip
-# a winner.  Non-differentiable arguments (labels, masks, shapes, indices)
-# are closed over; gradients are checked for every Tensor argument.
+# package registers.  Inputs are chosen away from kinks (ReLU/Abs zeros)
+# so the central difference is well defined, and pool inputs use
+# irrational-ish values so a +/-eps nudge cannot flip a winner.
+# Non-differentiable arguments (labels, shapes, indices) are closed over;
+# gradients are checked for every Tensor argument.
 
 _R = np.random.default_rng(7)
 
@@ -65,37 +71,18 @@ def _smooth(*shape):
 
 _A23 = _smooth(2, 3)
 _B23 = _smooth(2, 3)
-_P23 = 0.2 + _R.random((2, 3))  # strictly positive (Log/Sqrt/Pow)
-_SEP = _A23 + np.where(_R.random((2, 3)) < 0.5, -0.3, 0.3)  # |a-b| >= 0.3
-_COND = np.array([[True, False, True], [False, True, False]])
 _IMG = _R.standard_normal((2, 3, 6, 6)) * 1.7  # continuous: no pool ties
 _KERNEL = _R.standard_normal((4, 3, 3, 3)) * 0.4
 _BIAS = _R.standard_normal(4) * 0.1
 _LABELS = np.array([2, 0, 3])
-_DISTINCT = _R.permutation(24).astype(float).reshape(2, 3, 4) * 0.37
 
 _CASES = {
     # ops_basic -----------------------------------------------------------
     "Add": (lambda a, b: ops_basic.Add.apply(a, b), [_A23, _smooth(3)]),
     "Sub": (lambda a, b: ops_basic.Sub.apply(a, b), [_A23, _smooth(2, 1)]),
     "Mul": (lambda a, b: ops_basic.Mul.apply(a, b), [_A23, _B23]),
-    "Div": (lambda a, b: ops_basic.Div.apply(a, b), [_A23, _B23]),
     "Neg": (lambda a: ops_basic.Neg.apply(a), [_A23]),
-    "Exp": (lambda a: ops_basic.Exp.apply(a), [_A23]),
-    "Log": (lambda a: ops_basic.Log.apply(a), [_P23]),
-    "Sqrt": (lambda a: ops_basic.Sqrt.apply(a), [_P23]),
     "Abs": (lambda a: ops_basic.Abs.apply(a), [_A23]),
-    "Pow": (lambda a: ops_basic.Pow.apply(a, 1.7), [_P23]),
-    "Clip": (
-        lambda a: ops_basic.Clip.apply(a * 3.0, -1.0, 1.0),
-        [_A23],  # scaled so interior/exterior elements sit away from +/-1
-    ),
-    "Maximum": (lambda a, b: ops_basic.Maximum.apply(a, b), [_A23, _SEP]),
-    "Minimum": (lambda a, b: ops_basic.Minimum.apply(a, b), [_A23, _SEP]),
-    "Where": (
-        lambda a, b: ops_basic.Where.apply(_COND, a, b),
-        [_A23, _smooth(3)],
-    ),
     # ops_shape -----------------------------------------------------------
     "Reshape": (lambda a: ops_shape.Reshape.apply(a, (3, 2)), [_A23]),
     "Transpose": (lambda a: ops_shape.Transpose.apply(a, (1, 0)), [_A23]),
@@ -103,26 +90,9 @@ _CASES = {
         lambda a: ops_shape.GetItem.apply(a, (slice(0, 2), [0, 2, 2])),
         [_A23],  # repeated fancy index exercises the scatter-add
     ),
-    "Concat": (
-        lambda a, b: ops_shape.Concat.apply(a, b, axis=1),
-        [_A23, _smooth(2, 2)],
-    ),
-    "Pad": (
-        lambda a: ops_shape.Pad.apply(a, ((1, 0), (2, 1))),
-        [_A23],
-    ),
-    "BroadcastTo": (
-        lambda a: ops_shape.BroadcastTo.apply(a, (4, 2, 3)),
-        [_smooth(2, 1)],
-    ),
     # ops_reduce ----------------------------------------------------------
     "Sum": (lambda a: ops_reduce.Sum.apply(a, axis=1, keepdims=True), [_A23]),
     "Mean": (lambda a: ops_reduce.Mean.apply(a, axis=0), [_A23]),
-    "MaxMin": (
-        lambda a: ops_reduce.MaxMin.apply(a, axis=2, mode="max")
-        + ops_reduce.MaxMin.apply(a, mode="min"),
-        [_DISTINCT],
-    ),
     "LogSumExp": (
         lambda a: ops_reduce.LogSumExp.apply(a, axis=-1, keepdims=False),
         [_A23],
@@ -149,7 +119,6 @@ _CASES = {
     ),
     "Sigmoid": (lambda a: ops_nn.Sigmoid.apply(a), [_A23]),
     "Tanh": (lambda a: ops_nn.Tanh.apply(a), [_A23]),
-    "Softmax": (lambda a: ops_nn.Softmax.apply(a, axis=-1), [_A23]),
     "Conv2d": (
         lambda x, w, b: ops_nn.Conv2d.apply(x, w, b, stride=2, padding=1),
         [_IMG, _KERNEL, _BIAS],
@@ -192,20 +161,69 @@ def test_matmul_outer_product_backward_equals_gemm(dtype):
     assert np.array_equal(grad_a, grad_out @ col.T)
 
 
-def test_every_registered_op_has_a_gradient_case():
-    """Adding a Function subclass without a grad-check case fails here."""
+def _registered_ops():
+    """Names of every ``Function`` subclass the package defines."""
 
     def walk(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from walk(sub)
 
-    registered = {
+    return {
         sub.__name__
         for sub in walk(Function)
         if sub.__module__.startswith("repro.")  # skip test-local helpers
     }
+
+
+def test_every_registered_op_has_a_gradient_case():
+    """Adding a Function subclass without a grad-check case fails here."""
+    registered = _registered_ops()
     missing = registered - set(_CASES)
     assert not missing, f"ops without a gradient-check case: {sorted(missing)}"
     stale = set(_CASES) - registered
     assert not stale, f"gradient-check cases for unknown ops: {sorted(stale)}"
+
+
+# Registered ops that no trainer or attack applies, and why each stays.
+_UNREACHED_KEPT = {
+    "LeakyReLU": "perfbench's tracer wraps nn.LeakyReLU",
+    "Sigmoid": "perfbench's tracer wraps nn.Sigmoid",
+    "Tanh": "perfbench's tracer wraps nn.Tanh",
+    "AvgPool2d": "perfbench's tracer wraps nn.AvgPool2d",
+    "Neg": "the composed cross-entropy that test_ops_loss.py checks the "
+           "fused loss against negates its log-likelihood",
+    "LogSumExp": "log_softmax in that composed reference is built on it",
+}
+
+
+def test_every_registered_op_is_reached_or_kept(digits_small):
+    """One tiny epoch of every defense on every zoo model and one
+    ``generate`` of every registered attack apply every registered op,
+    except the listed ones.  An op that nothing reaches fails here: delete
+    it, or list it with the reason it stays."""
+    train, test = digits_small
+    loader = DataLoader(
+        TensorDataset(*(array[:32] for array in train.arrays())),
+        batch_size=16,
+        rng=0,
+    )
+    x, y = (array[:8] for array in test.arrays())
+    reached = set()
+    with count_passes(reached):
+        for build_model in MODEL_BUILDERS.values():
+            for name in defense_names():
+                trainer = build_trainer(name, build_model(seed=0), epsilon=0.2)
+                trainer.fit(loader, epochs=1)
+        model = MODEL_BUILDERS["small_cnn"](seed=0)
+        for name in attack_names():
+            build_attack(name, model, epsilon=0.25).generate(x, y)
+    unreached = _registered_ops() - {cls.__name__ for cls in reached}
+    assert not unreached - set(_UNREACHED_KEPT), (
+        f"ops no trainer or attack applies: "
+        f"{sorted(unreached - set(_UNREACHED_KEPT))}"
+    )
+    assert not set(_UNREACHED_KEPT) - unreached, (
+        f"kept ops that are now reached: "
+        f"{sorted(set(_UNREACHED_KEPT) - unreached)}"
+    )

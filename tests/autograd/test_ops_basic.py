@@ -1,20 +1,11 @@
 """Tests for elementwise operations and their gradients."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.autograd import (
-    Tensor,
-    check_gradients,
-    clip,
-    maximum,
-    minimum,
-    sign,
-    where,
-)
+from repro.autograd import Tensor, check_gradients
 from repro.autograd.ops_basic import unbroadcast
 
 
@@ -33,55 +24,15 @@ class TestForwardValues:
         assert np.allclose((t([5.0]) - 2.0).data, [3.0])
         assert np.allclose((5.0 - t([2.0])).data, [3.0])
 
-    def test_mul_div(self):
+    def test_mul(self):
         assert np.allclose((t([3.0]) * t([4.0])).data, [12.0])
-        assert np.allclose((t([8.0]) / t([2.0])).data, [4.0])
-
-    def test_rtruediv(self):
-        assert np.allclose((8.0 / t([2.0])).data, [4.0])
+        assert np.allclose((2.0 * t([4.0])).data, [8.0])
 
     def test_neg(self):
         assert np.allclose((-t([1.0, -2.0])).data, [-1.0, 2.0])
 
-    def test_pow(self):
-        assert np.allclose((t([2.0]) ** 3).data, [8.0])
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            t([2.0]) ** t([3.0])
-
-    def test_exp_log_roundtrip(self):
-        x = t([0.5, 1.5])
-        assert np.allclose(x.exp().log().data, x.data)
-
-    def test_sqrt(self):
-        assert np.allclose(t([4.0, 9.0]).sqrt().data, [2.0, 3.0])
-
     def test_abs(self):
         assert np.allclose(t([-1.5, 2.0]).abs().data, [1.5, 2.0])
-
-    def test_clip(self):
-        out = clip(t([-1.0, 0.5, 2.0]), 0.0, 1.0)
-        assert np.allclose(out.data, [0.0, 0.5, 1.0])
-
-    def test_sign_detached(self):
-        x = t([-2.0, 0.0, 3.0], grad=True)
-        s = sign(x)
-        assert np.allclose(s.data, [-1.0, 0.0, 1.0])
-        assert not s.requires_grad
-
-    def test_maximum_minimum(self):
-        assert np.allclose(maximum(t([1.0, 5.0]), t([3.0, 2.0])).data, [3.0, 5.0])
-        assert np.allclose(minimum(t([1.0, 5.0]), t([3.0, 2.0])).data, [1.0, 2.0])
-
-    def test_where(self):
-        out = where(np.array([True, False]), t([1.0, 1.0]), t([9.0, 9.0]))
-        assert np.allclose(out.data, [1.0, 9.0])
-
-    def test_comparisons_detached(self):
-        a, b = t([1.0, 3.0], grad=True), t([2.0, 2.0])
-        for result in (a > b, a < b, a >= b, a <= b):
-            assert not result.requires_grad
 
 
 class TestGradients:
@@ -106,52 +57,13 @@ class TestGradients:
              Tensor(np.random.default_rng(1).normal(size=(3, 2)))],
         )
 
-    def test_div(self):
+    def test_neg_abs(self):
         rng = np.random.default_rng(0)
-        check_gradients(
-            lambda a, b: a / b,
-            [Tensor(rng.normal(size=(3,))),
-             Tensor(rng.uniform(1.0, 2.0, size=(3,)))],
-        )
-
-    def test_pow(self):
-        check_gradients(
-            lambda a: a ** 3,
-            [Tensor(np.random.default_rng(0).uniform(0.5, 2.0, size=(4,)))],
-        )
-
-    def test_exp_log_sqrt_abs(self):
-        rng = np.random.default_rng(0)
-        check_gradients(lambda a: a.exp(), [Tensor(rng.normal(size=(3,)))])
-        check_gradients(
-            lambda a: a.log(), [Tensor(rng.uniform(0.5, 2.0, size=(3,)))]
-        )
-        check_gradients(
-            lambda a: a.sqrt(), [Tensor(rng.uniform(0.5, 2.0, size=(3,)))]
-        )
+        check_gradients(lambda a: -a, [Tensor(rng.normal(size=(3,)))])
         check_gradients(
             lambda a: a.abs(),
             [Tensor(rng.normal(size=(3,)) + 0.5)],  # keep away from 0
         )
-
-    def test_clip_gradient_masks_boundaries(self):
-        x = t([-2.0, 0.5, 2.0], grad=True)
-        clip(x, 0.0, 1.0).sum().backward()
-        assert np.allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_maximum_gradient_routing(self):
-        a = t([1.0, 5.0], grad=True)
-        b = t([3.0, 2.0], grad=True)
-        maximum(a, b).sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 0.0])
-
-    def test_where_gradient_routing(self):
-        a = t([1.0, 1.0], grad=True)
-        b = t([9.0, 9.0], grad=True)
-        where(np.array([True, False]), a, b).sum().backward()
-        assert np.allclose(a.grad, [1.0, 0.0])
-        assert np.allclose(b.grad, [0.0, 1.0])
 
 
 class TestUnbroadcast:
@@ -188,19 +100,6 @@ class TestUnbroadcast:
         out = unbroadcast(g, shape)
         assert out.shape == shape
         assert np.isclose(out.sum(), g.sum())
-
-
-@given(
-    data=arrays(
-        np.float64,
-        array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
-        elements=st.floats(-10, 10),
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_clip_always_within_bounds(data):
-    out = clip(Tensor(data), -1.0, 1.0).data
-    assert out.min() >= -1.0 and out.max() <= 1.0
 
 
 @given(

@@ -1,19 +1,8 @@
 """Tests for shape operations and their gradients."""
 
 import numpy as np
-import pytest
 
-from repro.autograd import (
-    Tensor,
-    broadcast_to,
-    check_gradients,
-    concat,
-    flatten,
-    pad,
-    reshape,
-    stack,
-    transpose,
-)
+from repro.autograd import Tensor, check_gradients, flatten, reshape, transpose
 
 
 def randn(*shape, seed=0):
@@ -43,23 +32,6 @@ class TestForward:
         x = Tensor(np.arange(10.0))
         assert np.allclose(x[np.array([0, 0, 3])].data, [0.0, 0.0, 3.0])
 
-    def test_concat(self):
-        out = concat([randn(2, 3), randn(4, 3, seed=1)], axis=0)
-        assert out.shape == (6, 3)
-
-    def test_stack(self):
-        out = stack([randn(2, 3), randn(2, 3, seed=1)], axis=0)
-        assert out.shape == (2, 2, 3)
-
-    def test_pad(self):
-        out = pad(randn(2, 2), ((1, 1), (0, 2)))
-        assert out.shape == (4, 4)
-        assert out.data[0, 0] == 0.0
-
-    def test_broadcast_to(self):
-        out = broadcast_to(randn(1, 3), (4, 3))
-        assert out.shape == (4, 3)
-
     def test_flatten(self):
         assert flatten(randn(2, 3, 4)).shape == (2, 12)
         assert flatten(randn(2, 3, 4), start_axis=2).shape == (2, 3, 4)
@@ -79,24 +51,6 @@ class TestGradients:
         x = Tensor(np.zeros(3), requires_grad=True)
         x[np.array([0, 0, 2])].sum().backward()
         assert np.allclose(x.grad, [2.0, 0.0, 1.0])
-
-    def test_concat(self):
-        check_gradients(
-            lambda a, b: concat([a, b], axis=1),
-            [randn(2, 2), randn(2, 3, seed=1)],
-        )
-
-    def test_stack(self):
-        check_gradients(
-            lambda a, b: stack([a, b], axis=1),
-            [randn(2, 3), randn(2, 3, seed=1)],
-        )
-
-    def test_pad(self):
-        check_gradients(lambda a: pad(a, ((1, 0), (2, 1))), [randn(2, 3)])
-
-    def test_broadcast_to(self):
-        check_gradients(lambda a: broadcast_to(a, (5, 3)), [randn(1, 3)])
 
     def test_flatten(self):
         check_gradients(lambda a: flatten(a), [randn(2, 3, 2)])

@@ -32,14 +32,15 @@ def in_layout(arr, layout):
 
 
 @contextlib.contextmanager
-def count_passes():
+def count_passes(reached=None):
     """Count model passes and autograd work while the block runs.
 
     Yields a dict of running counts: ``forward`` (one model pass is one
     ``FeatureClassifier.embed`` call), ``backward`` (``Tensor.backward``
     calls) and ``ops`` (autograd ``Function.apply`` calls, i.e. recorded
     operations).  Counts are deterministic, unlike wall-clock time, so
-    they carry the paper's cost orderings on a loaded machine too.
+    they carry the paper's cost orderings on a loaded machine too.  If
+    ``reached`` is a set, every applied ``Function`` class is added to it.
     """
     counts = {"forward": 0, "backward": 0, "ops": 0}
     real_embed = FeatureClassifier.embed
@@ -56,6 +57,8 @@ def count_passes():
 
     def apply(cls, *args, **kwargs):
         counts["ops"] += 1
+        if reached is not None:
+            reached.add(cls)
         return real_apply.__func__(cls, *args, **kwargs)
 
     FeatureClassifier.embed = embed

@@ -15,7 +15,6 @@ from repro.nn import (
     Reshape,
     Sequential,
     Sigmoid,
-    Softmax,
     Tanh,
 )
 
@@ -107,14 +106,10 @@ class TestPoolingLayers:
 
 class TestActivationLayers:
     @pytest.mark.parametrize(
-        "layer", [ReLU(), LeakyReLU(0.2), Sigmoid(), Tanh(), Softmax()]
+        "layer", [ReLU(), LeakyReLU(0.2), Sigmoid(), Tanh()]
     )
     def test_preserves_shape(self, layer):
         assert layer(randn(3, 5)).shape == (3, 5)
-
-    def test_softmax_normalises(self):
-        out = Softmax()(randn(3, 5))
-        assert np.allclose(out.data.sum(axis=1), 1.0)
 
     def test_relu_clamps(self):
         assert ReLU()(Tensor([-1.0, 1.0])).data.min() == 0.0

@@ -201,7 +201,7 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "Training time per epoch" in out
         assert "vanilla" in out
-        lines = open(csv_path).read().splitlines()
+        lines = (tmp_path / "epochs.csv").read_text().splitlines()
         assert lines[0].startswith("trainer,epoch,total_s,data_s")
         assert len(lines) == 3  # header + 2 epochs
 

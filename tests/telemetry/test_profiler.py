@@ -82,8 +82,9 @@ class TestCollapsedOutput:
     def test_save_writes_file(self, tmp_path):
         profiler = SamplingProfiler(hz=500)
         profiler.stacks = {("a:f",): 3}
-        path = profiler.save(str(tmp_path / "out.collapsed"))
-        assert open(path).read() == "a:f 3\n"
+        path = tmp_path / "out.collapsed"
+        assert profiler.save(str(path)) == str(path)
+        assert path.read_text() == "a:f 3\n"
 
     def test_top_aggregates_innermost_frames(self):
         profiler = SamplingProfiler(hz=500)

@@ -10,7 +10,6 @@ from repro.telemetry import (
     ConsoleEvents,
     InMemorySink,
     JsonlSink,
-    SummarySink,
     load_records,
 )
 
@@ -127,30 +126,3 @@ class TestConsoleEvents:
         sink = ConsoleEvents(stream=stream)
         sink.emit({"type": "event", "name": "anything", "fields": {}})
         assert "anything" in stream.getvalue()
-
-
-class TestSummarySink:
-    def test_aggregates_spans_and_counters(self):
-        stream = io.StringIO()
-        sink = SummarySink(stream=stream)
-        for duration in (1.0, 3.0):
-            sink.emit({"type": "span", "name": "epoch", "duration": duration})
-        sink.emit({
-            "type": "metrics", "counters": {"data.batches": 12.0},
-            "gauges": {}, "histograms": {},
-        })
-        sink.close()
-        output = stream.getvalue()
-        assert "epoch" in output
-        assert "4.0000" in output  # total
-        assert "2.0000" in output  # mean
-        assert "data.batches = 12" in output
-
-    def test_csv_output(self, tmp_path):
-        path = str(tmp_path / "summary.csv")
-        sink = SummarySink(csv_path=path)
-        sink.emit({"type": "span", "name": "epoch", "duration": 2.0})
-        sink.close()
-        lines = open(path).read().splitlines()
-        assert lines[0] == "span,count,total_s,mean_s"
-        assert lines[1] == "epoch,1,2.0000,2.0000"
