@@ -2,9 +2,9 @@
 
 Tracks the substrate performance the experiment costs rest on: forward and
 forward+backward passes of the dense and convolutional models, plus the two
-most expensive primitives (conv2d, matmul); conv2d also runs forward +
-backward at mnist_cnn's two layer shapes and batch 128, the configuration
-the experiments train at.
+most expensive primitives (conv2d, matmul); conv2d and the 2x2 max-pool
+also run forward + backward at mnist_cnn's two layer shapes each and batch
+128, the configuration the experiments train at.
 
 Every bench is parametrised over the runtime precision policy so a run
 reports float32-vs-float64 throughput side by side (compare within each
@@ -16,7 +16,7 @@ carry the policy dtype.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, conv2d, matmul
+from repro.autograd import Tensor, conv2d, matmul, max_pool2d
 from repro.autograd._im2col import im2col
 from repro.models import mnist_cnn, mnist_mlp
 from repro.nn import cross_entropy
@@ -62,6 +62,11 @@ CNN_CONVS = {
     "conv1": ((128, 1, 28, 28), (16, 1, 3, 3)),
     "conv2": ((128, 16, 14, 14), (32, 16, 3, 3)),
 }
+# Inputs of mnist_cnn's two 2x2 max-pools at batch 128.
+CNN_POOLS = {
+    "pool1": (128, 16, 28, 28),
+    "pool2": (128, 32, 14, 14),
+}
 
 
 def nhwc_memory(arr):
@@ -91,6 +96,27 @@ def test_conv2d_forward_backward_batch128(benchmark, dtype, layer):
             tw = Tensor(w, requires_grad=True)
             tb = Tensor(b, requires_grad=True)
             conv2d(tx, tw, tb, padding=1).backward(grad)
+
+        benchmark(step)
+
+
+@pytest.mark.benchmark(group="ops-maxpool-pass")
+@pytest.mark.parametrize("layer", list(CNN_POOLS))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_max_pool_forward_backward_batch128(benchmark, dtype, layer):
+    """One training pass of a mnist_cnn 2x2 max-pool: forward, then the
+    input gradient."""
+    n, c, h, w = CNN_POOLS[layer]
+    with precision(dtype):
+        rng = np.random.default_rng(0)
+        x = nhwc_memory(rng.normal(size=(n, c, h, w)).astype(dtype))
+        grad = nhwc_memory(
+            rng.normal(size=(n, c, h // 2, w // 2)).astype(dtype)
+        )
+
+        def step():
+            tx = Tensor(x, requires_grad=True)
+            max_pool2d(tx, 2).backward(grad)
 
         benchmark(step)
 

@@ -17,14 +17,20 @@ the channel index innermost, so each kernel position contributes one
 contiguous run of channels.  A convolution weight ``(C_out, C, kh, kw)``
 pairs with these columns once permuted to ``(C_out, kh, kw, C)``.
 
-Patches are gathered through ``np.lib.stride_tricks.sliding_window_view``
-(a zero-copy strided view; the only copy is the single C-level write into
-the column matrix).
+Patches are read through :func:`column_windows`, a zero-copy
+``np.lib.stride_tricks.sliding_window_view`` of the padded images; the only
+copy is the write into the column matrix.
+
+The adjoint takes the columns' gradient *position-major*:
+``(kh, kw, N, out_h, out_w, C)``, one image-shaped slab per kernel position.
+``Conv2d`` computes that layout directly (a GEMM per kernel position), so
+each slab adds into the padded image gradient in whole-row runs rather than
+in runs of ``C`` channels.
 
 Two levels
 ----------
-:func:`gather_columns` and :func:`scatter_columns` work on an already padded
-NHWC array and write into a buffer the caller passes, so ``Conv2d`` can run
+:func:`gather_columns` and :func:`scatter_columns` work on already padded
+NHWC images and write into a buffer the caller passes, so ``Conv2d`` can run
 them one cache-sized block of images at a time into block-sized buffers of
 its own (it never holds a full-batch column matrix and draws nothing from
 the workspace pool).
@@ -47,6 +53,7 @@ from ..runtime import get_workspace
 __all__ = [
     "conv_output_size",
     "pad_nhwc",
+    "column_windows",
     "gather_columns",
     "scatter_columns",
     "im2col",
@@ -85,63 +92,65 @@ def pad_nhwc(
     return out
 
 
-def gather_columns(
-    padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int, out
+def column_windows(
+    padded: np.ndarray, kernel_h: int, kernel_w: int, stride: int
 ) -> np.ndarray:
-    """Write the ``(kh, kw, C)``-ordered columns of ``padded`` into ``out``.
+    """``(N, out_h, out_w, kh, kw, C)`` strided view of the receptive fields
+    of an ``(N, H', W', C)`` array of already padded images (no copy).
 
-    ``padded`` is an ``(N, H', W', C)`` array of already padded images, in
-    any strides; ``out`` is an ``(N * out_h * out_w, kernel_h * kernel_w * C)``
-    C-contiguous buffer.  Returns ``out``.
+    Build it once per batch and slice blocks of images off its first axis:
+    ``sliding_window_view`` costs far more Python time than a slice.
     """
-    n, padded_h, padded_w, c = padded.shape
+    _, padded_h, padded_w, _ = padded.shape
     out_h = (padded_h - kernel_h) // stride + 1
     out_w = (padded_w - kernel_w) // stride + 1
-    # (N, H', W', C, kh, kw) strided view over every window start, then
-    # subsampled to the stride grid — no data is copied until the final
-    # gather below, whose innermost runs are contiguous channel vectors.
     windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(1, 2))
-    windows = windows[
+    return windows[
         :,
         : (out_h - 1) * stride + 1 : stride,
         : (out_w - 1) * stride + 1 : stride,
-    ]
-    out.reshape(n, out_h, out_w, kernel_h, kernel_w, c)[...] = (
-        windows.transpose(0, 1, 2, 4, 5, 3)
-    )
+    ].transpose(0, 1, 2, 4, 5, 3)
+
+
+def gather_columns(windows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``(kh, kw, C)``-ordered columns of a :func:`column_windows`
+    view (or a block of one) into the C-contiguous
+    ``(N * out_h * out_w, kh * kw * C)`` buffer ``out``.  Returns ``out``.
+    """
+    _, _, _, kernel_h, kernel_w, c = windows.shape
+    cols = out.reshape(windows.shape)
+    if c > 1:
+        # One copy whose contiguous runs are whole window rows (kw * C).
+        cols[...] = windows
+        return out
+    # A one-channel window row is only kw elements long; one strided copy
+    # per kernel position instead runs along whole output rows.
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            cols[:, :, :, i, j] = windows[:, :, :, i, j]
     return out
 
 
 def scatter_columns(
-    cols: np.ndarray, padded: np.ndarray, kernel_h: int, kernel_w: int,
-    stride: int,
+    positions: np.ndarray, padded: np.ndarray, stride: int
 ) -> np.ndarray:
     """Adjoint of :func:`gather_columns`: overwrite the ``(N, H', W', C)``
-    array ``padded`` with the scatter-add of ``cols``.  Returns ``padded``.
+    array ``padded`` with the scatter-add of ``positions``.  Returns
+    ``padded``.
+
+    ``positions`` is position-major, ``(kh, kw, N, out_h, out_w, C)``, in
+    any strides: ``positions[i, j]`` is what kernel position ``(i, j)``
+    sends back to each output pixel's receptive field.  Stored
+    contiguously, each ``+=`` below moves whole ``out_w * C`` image rows
+    (at stride 1).
     """
-    n, padded_h, padded_w, c = padded.shape
-    out_h = (padded_h - kernel_h) // stride + 1
-    out_w = (padded_w - kernel_w) // stride + 1
-    cols = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c)
-    if (
-        stride == kernel_h == kernel_w
-        and padded_h == out_h * stride
-        and padded_w == out_w * stride
-    ):
-        # Non-overlapping windows that tile the (padded) image exactly —
-        # the pooling layout.  The scatter-add degenerates to a pure
-        # permutation, served by one strided assignment with no zero fill.
-        padded.reshape(n, out_h, kernel_h, out_w, kernel_w, c)[...] = (
-            cols.transpose(0, 1, 3, 2, 4, 5)
-        )
-        return padded
-    # Both sides of each `+=` move contiguous channel vectors.
+    kernel_h, kernel_w, _, out_h, out_w, _ = positions.shape
     padded.fill(0.0)
     for i in range(kernel_h):
         i_max = i + stride * out_h
         for j in range(kernel_w):
             j_max = j + stride * out_w
-            padded[:, i:i_max:stride, j:j_max:stride, :] += cols[:, :, :, i, j, :]
+            padded[:, i:i_max:stride, j:j_max:stride] += positions[i, j]
     return padded
 
 
@@ -181,7 +190,7 @@ def im2col(
         )
     src = pad_nhwc(x, padding, pad_value, out=pad_buf)
     cols = ws.acquire((n * out_h * out_w, kernel_h * kernel_w * c), x.dtype)
-    gather_columns(src, kernel_h, kernel_w, stride, out=cols)
+    gather_columns(column_windows(src, kernel_h, kernel_w, stride), out=cols)
     if pad_buf is not None:
         ws.release(pad_buf)
     return cols
@@ -200,15 +209,21 @@ def col2im(
     Returns an ``input_shape`` (NCHW) view of a fresh NHWC array.
     """
     n, c, h, w = input_shape
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+    # Position-major view of the (kh, kw, C)-ordered columns.
+    positions = cols.reshape(n, out_h, out_w, kernel_h, kernel_w, c).transpose(
+        3, 4, 0, 1, 2, 5
+    )
     # Without padding the accumulator itself escapes as the gradient, so it
     # must not come from (or return to) the pool.
     if padding == 0:
         padded = np.empty((n, h, w, c), dtype=cols.dtype)
-        scatter_columns(cols, padded, kernel_h, kernel_w, stride)
+        scatter_columns(positions, padded, stride)
         return padded.transpose(0, 3, 1, 2)
     ws = get_workspace()
     padded = ws.acquire((n, h + 2 * padding, w + 2 * padding, c), cols.dtype)
-    scatter_columns(cols, padded, kernel_h, kernel_w, stride)
+    scatter_columns(positions, padded, stride)
     out = np.empty((n, h, w, c), dtype=padded.dtype)
     out[...] = padded[:, padding:-padding, padding:-padding, :]
     ws.release(padded)

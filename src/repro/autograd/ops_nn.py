@@ -11,6 +11,7 @@ import numpy as np
 from ..runtime import get_workspace
 from ._im2col import (
     col2im,
+    column_windows,
     conv_output_size,
     gather_columns,
     im2col,
@@ -160,23 +161,23 @@ class Conv2d(Function):
         out_h = conv_output_size(h, kh, stride, padding)
         out_w = conv_output_size(w, kw, stride, padding)
         padded = pad_nhwc(x, padding)
+        windows = column_windows(padded, kh, kw, stride)
         # Weight permuted once to the (kh, kw, C)-ordered column layout.
         w_mat = weight.transpose(0, 2, 3, 1).reshape(c_out, -1)
         rows, k = out_h * out_w, w_mat.shape[1]
         per_block, blocks = _image_blocks(n, rows * k * x.dtype.itemsize)
         cols = np.empty((per_block * rows, k), x.dtype)
-        out = np.empty(
-            (n, out_h, out_w, c_out), np.result_type(x.dtype, weight.dtype)
-        )
+        out_dtype = np.result_type(x.dtype, weight.dtype)
+        if bias is not None:
+            out_dtype = np.result_type(out_dtype, bias.dtype)
+        out = np.empty((n, out_h, out_w, c_out), out_dtype)
         for block in blocks:
             block_cols = cols[: (block.stop - block.start) * rows]
-            gather_columns(padded[block], kh, kw, stride, out=block_cols)
-            np.matmul(block_cols, w_mat.T, out=out[block].reshape(-1, c_out))
-        if bias is not None:
-            if np.result_type(out.dtype, bias.dtype) == out.dtype:
-                np.add(out, bias, out=out)  # fresh output: add in place
-            else:
-                out = out + bias
+            gather_columns(windows[block], out=block_cols)
+            block_out = out[block].reshape(-1, c_out)
+            np.matmul(block_cols, w_mat.T, out=block_out)
+            if bias is not None:
+                block_out += bias  # while the block is still in cache
         if is_grad_enabled():
             ctx.save_for_backward(
                 padded, w_mat, weight.shape, x.shape, stride, padding,
@@ -192,8 +193,8 @@ class Conv2d(Function):
         # (N, out_h, out_w, C_out): a free view of NHWC memory; each block
         # below reshapes to (rows, C_out) without a copy for that layout.
         grad = grad_output.transpose(0, 2, 3, 1)
-        rows = grad.shape[1] * grad.shape[2]
-        k = w_mat.shape[1]
+        out_h, out_w = grad.shape[1:3]
+        rows, k = out_h * out_w, w_mat.shape[1]
         per_block, blocks = _image_blocks(n, rows * k * padded.dtype.itemsize)
         # The input (e.g. a clean training batch, as opposed to an attack's
         # perturbation variable) or the weights (frozen by an attack) may
@@ -201,6 +202,7 @@ class Conv2d(Function):
         # scatter, are skipped.
         grad_w_mat = grad_bias = grad_x = None
         if ctx.needs(1):
+            windows = column_windows(padded, kh, kw, stride)
             cols = np.empty((per_block * rows, k), padded.dtype)
             grad_w_mat = np.zeros(
                 (c_out, k), np.result_type(grad.dtype, padded.dtype)
@@ -212,7 +214,12 @@ class Conv2d(Function):
             grad_bias = np.zeros(c_out, grad.dtype)
         if ctx.needs(0):
             result_dtype = np.result_type(grad.dtype, w_mat.dtype)
-            grad_cols = np.empty((per_block * rows, k), result_dtype)
+            # One (C_out, C_in) weight matrix per kernel position: the input
+            # gradient is built position-major (see scatter_columns).
+            w_pos = w_mat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
+            positions = np.empty(
+                (kh * kw, per_block * rows, c_in), result_dtype
+            )
             grad_x = np.empty((n, h, w, c_in), result_dtype)
             if padding > 0:
                 grad_padded = np.empty(
@@ -223,20 +230,29 @@ class Conv2d(Function):
             block_rows = count * rows
             grad_mat = grad[block].reshape(-1, c_out)
             if grad_w_mat is not None:
-                gather_columns(
-                    padded[block], kh, kw, stride, out=cols[:block_rows]
-                )
+                gather_columns(windows[block], out=cols[:block_rows])
                 grad_w_mat += grad_mat.T @ cols[:block_rows]
             if grad_bias is not None:
                 grad_bias += ones[:block_rows] @ grad_mat
             if grad_x is not None:
-                block_grad = grad_cols[:block_rows]
-                np.matmul(grad_mat, w_mat, out=block_grad)
+                block_positions = positions[:, :block_rows]
+                if c_in == 1:
+                    # Each position's product is then a vector: one GEMM
+                    # against the transposed gradient yields all of them.
+                    np.matmul(
+                        w_pos[:, :, 0], grad_mat.T,
+                        out=block_positions[:, :, 0],
+                    )
+                else:
+                    np.matmul(grad_mat, w_pos, out=block_positions)
+                block_positions = block_positions.reshape(
+                    kh, kw, count, out_h, out_w, c_in
+                )
                 if padding == 0:
-                    scatter_columns(block_grad, grad_x[block], kh, kw, stride)
+                    scatter_columns(block_positions, grad_x[block], stride)
                 else:
                     scatter_columns(
-                        block_grad, grad_padded[:count], kh, kw, stride
+                        block_positions, grad_padded[:count], stride
                     )
                     grad_x[block] = grad_padded[
                         :count, padding : padding + h, padding : padding + w
@@ -278,9 +294,46 @@ def _windows(a, kernel_size):
     return a.reshape(n, h // k, k, w // k, k, c)
 
 
-# Window slot of each cell of a 2x2 tile, broadcast against the
-# (N, out_h, 2, out_w, 2, C) window view.
-_SLOTS_2X2 = np.arange(4, dtype=np.int8).reshape(1, 1, 2, 1, 2, 1)
+def _max_pool_2x2(x):
+    """``(out, argmax)`` of 2x2 max pooling over an ``(N, H, W, C)`` array
+    with even ``H`` and ``W``; ``argmax`` is the int8 window slot
+    (row-major: 0 top-left ... 3 bottom-right) of each maximum.
+
+    Hand-rolled max/argmax over the four slot views of the window view beats
+    np.argmax's generic reduction.  Strict ``>`` comparisons keep np.argmax's
+    first-max tie-breaking; the slot index is selected branch-free (np.where
+    is several times slower on random masks).  Runs one block of images at a
+    time (see ``_BLOCK_BYTES``) so the slot temporaries stay in cache; only
+    ``out`` and ``argmax`` are batch-sized.
+    """
+    n, h, w, c = x.shape
+    view = _windows(x, 2)
+    out = np.empty((n, h // 2, w // 2, c), x.dtype)
+    argmax = np.empty(out.shape, np.int8)
+    per_block, blocks = _image_blocks(n, x[0].nbytes)
+    block_shape = (per_block, *out.shape[1:])
+    scratch = [np.empty(block_shape, x.dtype)] + [
+        np.empty(block_shape, np.bool_) for _ in range(3)
+    ]
+    for block in blocks:
+        v = view[block]
+        s0, s1 = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
+        s2, s3 = v[:, :, 1, :, 0], v[:, :, 1, :, 1]
+        m01, slot = out[block], argmax[block]
+        m23, a01, a23, high = (a[: block.stop - block.start] for a in scratch)
+        np.maximum(s0, s1, out=m01)
+        np.maximum(s2, s3, out=m23)
+        np.greater(s1, s0, out=a01)
+        np.greater(s3, s2, out=a23)
+        np.greater(m23, m01, out=high)
+        # slot = a01 + high * (a23 + 2 - a01), in int8.
+        a01 = a01.view(np.int8)
+        np.subtract(a23.view(np.int8), a01, out=slot)
+        slot += 2
+        slot *= high
+        slot += a01
+        np.maximum(m01, m23, out=m01)
+    return out, argmax
 
 
 class MaxPool2d(Function):
@@ -297,21 +350,7 @@ class MaxPool2d(Function):
         out_w = conv_output_size(w, kernel_size, stride, padding)
         tiled_2x2 = kernel_size == 2 and _pool_tiles(x.shape, 2, stride, padding)
         if tiled_2x2:
-            # 2x2 tiles: hand-rolled max/argmax over the four slot views of
-            # the window view beats np.argmax's generic reduction.  Strict
-            # `>` comparisons keep np.argmax's first-max tie-breaking; the
-            # argmax is the slot index as int8, selected branch-free
-            # (np.where is several times slower on random masks).
-            view = _windows(_nhwc(x), 2)
-            s0, s1 = view[:, :, 0, :, 0], view[:, :, 0, :, 1]
-            s2, s3 = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
-            m01 = np.maximum(s0, s1)
-            m23 = np.maximum(s2, s3)
-            a01 = (s1 > s0).view(np.int8)
-            a23 = (s3 > s2).view(np.int8)
-            high = m23 > m01
-            argmax = a01 + high * (a23 + 2 - a01)
-            out = np.maximum(m01, m23, out=m01)
+            out, argmax = _max_pool_2x2(_nhwc(x))
             ctx.save_for_backward(argmax, x.shape, 2, stride, padding, True)
             return out.transpose(0, 3, 1, 2)
         # Padding cells are -inf, not 0: with zero padding the argmax would
@@ -337,14 +376,15 @@ class MaxPool2d(Function):
         grad = grad_output.transpose(0, 2, 3, 1)
         if tiled_2x2:
             # 2x2 tiles: each cell takes its window's gradient where it holds
-            # the argmax slot, zero elsewhere — one broadcast pass over the
-            # window view of the NHWC input gradient.
+            # the argmax slot, zero elsewhere — one pass per slot view of
+            # the NHWC input gradient.
             grad_x = np.empty((n, h, w, c), dtype=grad_output.dtype)
-            np.multiply(
-                grad[:, :, None, :, None, :],
-                argmax[:, :, None, :, None, :] == _SLOTS_2X2,
-                out=_windows(grad_x, 2),
-            )
+            slots = _windows(grad_x, 2)
+            for slot in range(4):
+                np.multiply(
+                    grad, argmax == slot,
+                    out=slots[:, :, slot // 2, :, slot % 2],
+                )
             return (grad_x.transpose(0, 3, 1, 2),)
         workspace = get_workspace()
         k2 = kernel_size * kernel_size

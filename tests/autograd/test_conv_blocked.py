@@ -110,6 +110,39 @@ def test_float32_within_precision_of_float64(case, layout):
         assert error <= 1e-5, (name, error)
 
 
+INPUT_GRAD_CASES = [
+    (128, 1, 28, 16, 3, 1, 1),    # mnist_cnn conv1 at batch 128
+    (128, 16, 14, 32, 3, 1, 1),   # mnist_cnn conv2 at batch 128
+]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("case", INPUT_GRAD_CASES)
+def test_input_gradient_with_frozen_weights(case, layout, dtype):
+    """An attack pass: only the input takes a gradient, so the backward
+    skips the column rebuild and runs the input-gradient path alone."""
+    stride, padding = case[5], case[6]
+    x, w, b, grad = draw(case, layout)
+    with precision(dtype):
+        tx = Tensor(x.astype(dtype), requires_grad=True)
+        out = conv2d(
+            tx, Tensor(w.astype(dtype)), Tensor(b.astype(dtype)),
+            stride=stride, padding=padding,
+        )
+        out.backward(grad.astype(dtype))
+    _, expected, _, _ = single_gemm_conv2d(
+        *(a.astype(dtype).astype(np.float64) for a in (x, w, b)),
+        stride, padding, grad.astype(dtype).astype(np.float64),
+    )
+    assert tx.grad.dtype == np.dtype(dtype)
+    if dtype == "float64":
+        np.testing.assert_allclose(tx.grad, expected, rtol=1e-10, atol=1e-12)
+    else:
+        error = np.abs(tx.grad - expected).max() / np.abs(expected).max()
+        assert error <= 1e-5, error
+
+
 def test_conv2_pass_holds_no_full_batch_columns():
     """Transient bytes of one conv2-shaped forward + backward at batch 128.
 

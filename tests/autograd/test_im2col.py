@@ -2,7 +2,7 @@
 
 The sliding-window gather must be bit-compatible with a plain
 kernel-position loop across every stride / padding / kernel combination the
-layers can produce, and the layout-specialised scatter must be its exact
+layers can produce, and the position-major scatter must be its exact
 adjoint.
 """
 
@@ -17,7 +17,7 @@ CASES = [
     (3, 1, 0),
     (3, 1, 1),
     (3, 2, 1),
-    (2, 2, 0),   # pooling tiling layout: pure-permutation col2im
+    (2, 2, 0),   # pooling tiling layout
     (2, 2, 1),
     (3, 3, 0),
     (5, 1, 2),
@@ -52,20 +52,18 @@ def _clean_pool():
     clear_workspace()
 
 
-@pytest.mark.parametrize("kernel,stride,padding", CASES)
-def test_im2col_matches_reference(kernel, stride, padding):
-    x = np.random.default_rng(0).normal(size=(2, 3, 12, 12))
+def check_im2col(kernel, stride, padding, channels):
+    x = np.random.default_rng(0).normal(size=(2, channels, 12, 12))
     expected = loop_im2col(x, kernel, stride, padding)
     fast = im2col(x, kernel, kernel, stride, padding)
     assert np.array_equal(fast, expected)
     get_workspace().release(fast)
 
 
-@pytest.mark.parametrize("kernel,stride,padding", CASES)
-def test_col2im_matches_reference(kernel, stride, padding):
+def check_col2im_is_adjoint(kernel, stride, padding, channels):
     """col2im is defined as the adjoint of im2col:
     ``<im2col(x), C> == <x, col2im(C)>`` for every image x and columns C."""
-    n, c, h, w = 2, 3, 12, 12
+    n, c, h, w = 2, channels, 12, 12
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     rng = np.random.default_rng(1)
@@ -76,6 +74,27 @@ def test_col2im_matches_reference(kernel, stride, padding):
     get_workspace().release(gathered)
     rhs = np.vdot(x, col2im(cols, (n, c, h, w), kernel, kernel, stride, padding))
     assert np.allclose(lhs, rhs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", CASES)
+def test_im2col_matches_reference(kernel, stride, padding):
+    check_im2col(kernel, stride, padding, channels=3)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", CASES)
+def test_col2im_matches_reference(kernel, stride, padding):
+    check_col2im_is_adjoint(kernel, stride, padding, channels=3)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", CASES)
+def test_one_channel_im2col_matches_reference(kernel, stride, padding):
+    """One channel takes the per-kernel-position gather."""
+    check_im2col(kernel, stride, padding, channels=1)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", CASES)
+def test_one_channel_col2im_matches_reference(kernel, stride, padding):
+    check_col2im_is_adjoint(kernel, stride, padding, channels=1)
 
 
 def test_im2col_pad_value_reaches_border():

@@ -110,27 +110,27 @@ class TestEndpoints:
 class TestErrorMapping:
     def test_unknown_route_404(self, served):
         base, _service, _server = served
-        error = _post_error(f"{base}/nope", {"input": []})
-        assert error.code == 404
+        with _post_error(f"{base}/nope", {"input": []}) as error:
+            assert error.code == 404
 
     def test_malformed_payload_400(self, served):
         base, _service, _server = served
-        assert _post_error(f"{base}/classify", {}).code == 400
-        assert _post_error(
-            f"{base}/classify", {"input": [1.0, 2.0]}
-        ).code == 400
-        assert _post_error(
-            f"{base}/audit", {"attack": "fgsm"}
-        ).code == 400
+        for path, payload in [
+            ("classify", {}),
+            ("classify", {"input": [1.0, 2.0]}),
+            ("audit", {"attack": "fgsm"}),
+        ]:
+            with _post_error(f"{base}/{path}", payload) as error:
+                assert error.code == 400
 
     def test_unknown_attack_spec_400(self, served):
         base, _service, _server = served
-        error = _post_error(
+        with _post_error(
             f"{base}/audit",
             {"attack": "definitely_not_an_attack",
              "inputs": [[0.0] * 784], "labels": [0]},
-        )
-        assert error.code == 400
+        ) as error:
+            assert error.code == 400
 
     def test_overload_maps_to_429(self, served, monkeypatch):
         base, service, _server = served
@@ -139,11 +139,11 @@ class TestErrorMapping:
             raise QueueFullError("request queue is full; request shed")
 
         monkeypatch.setattr(service, "classify_many", shed)
-        error = _post_error(
+        with _post_error(
             f"{base}/classify", {"input": [0.0] * 784}
-        )
-        assert error.code == 429
-        assert json.loads(error.read())["error"] == "overloaded"
+        ) as error:
+            assert error.code == 429
+            assert json.loads(error.read())["error"] == "overloaded"
 
     def test_shutdown_maps_to_503(self, served, monkeypatch):
         base, service, _server = served
@@ -152,11 +152,11 @@ class TestErrorMapping:
             raise ServiceClosed("batcher is shut down")
 
         monkeypatch.setattr(service, "classify_many", closed)
-        error = _post_error(
+        with _post_error(
             f"{base}/classify", {"input": [0.0] * 784}
-        )
-        assert error.code == 503
-        assert json.loads(error.read())["error"] == "shutting_down"
+        ) as error:
+            assert error.code == 503
+            assert json.loads(error.read())["error"] == "shutting_down"
 
     def test_timeout_maps_to_504(self, served, monkeypatch):
         base, service, _server = served
@@ -165,11 +165,11 @@ class TestErrorMapping:
             raise RequestTimeout("1 of 1 result(s) missed the deadline")
 
         monkeypatch.setattr(service, "classify_many", late)
-        error = _post_error(
+        with _post_error(
             f"{base}/classify", {"inputs": [[0.0] * 784]}
-        )
-        assert error.code == 504
-        assert json.loads(error.read())["error"] == "timeout"
+        ) as error:
+            assert error.code == 504
+            assert json.loads(error.read())["error"] == "timeout"
 
 
 class TestOpenMetrics:
