@@ -18,6 +18,7 @@ from ._im2col import (
     pad_nhwc,
     scatter_columns,
 )
+from ._lanes import map_blocks
 from .engine import Function, Tensor, as_tensor, is_grad_enabled
 from .ops_basic import unbroadcast
 from .ops_reduce import logsumexp
@@ -126,7 +127,8 @@ class Tanh(Function):
 # Bytes of one block of the conv column matrix: Conv2d builds and consumes
 # its columns (and their gradient) one block of images at a time, so the
 # working set stays inside a core's L2 cache instead of a full-batch
-# temporary streaming through memory.
+# temporary streaming through memory.  The blocks of one call are split
+# across the kernel lanes (see ._lanes), each lane with its own scratch.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -140,9 +142,18 @@ def _image_blocks(n, image_bytes):
     ]
 
 
+def _sum_blocks(partials):
+    """Sum of per-block partials, added in block order from zero: the
+    sequence of additions of one loop over the blocks."""
+    total = np.zeros(partials.shape[1:], partials.dtype)
+    for partial in partials:
+        total += partial
+    return total
+
+
 class Conv2d(Function):
     """2-D cross-correlation via im2col + GEMM, one block of images at a
-    time (see ``_BLOCK_BYTES``).
+    time (see ``_BLOCK_BYTES``), the blocks split across the kernel lanes.
 
     Takes and returns NCHW-shaped arrays; the output (and the input
     gradient) is a view of NHWC memory (see :mod:`._im2col`).  Forward
@@ -166,18 +177,23 @@ class Conv2d(Function):
         w_mat = weight.transpose(0, 2, 3, 1).reshape(c_out, -1)
         rows, k = out_h * out_w, w_mat.shape[1]
         per_block, blocks = _image_blocks(n, rows * k * x.dtype.itemsize)
-        cols = np.empty((per_block * rows, k), x.dtype)
         out_dtype = np.result_type(x.dtype, weight.dtype)
         if bias is not None:
             out_dtype = np.result_type(out_dtype, bias.dtype)
         out = np.empty((n, out_h, out_w, c_out), out_dtype)
-        for block in blocks:
-            block_cols = cols[: (block.stop - block.start) * rows]
-            gather_columns(windows[block], out=block_cols)
-            block_out = out[block].reshape(-1, c_out)
-            np.matmul(block_cols, w_mat.T, out=block_out)
-            if bias is not None:
-                block_out += bias  # while the block is still in cache
+
+        def run(indices):
+            cols = np.empty((per_block * rows, k), x.dtype)
+            for i in indices:
+                block = blocks[i]
+                block_cols = cols[: (block.stop - block.start) * rows]
+                gather_columns(windows[block], out=block_cols)
+                block_out = out[block].reshape(-1, c_out)
+                np.matmul(block_cols, w_mat.T, out=block_out)
+                if bias is not None:
+                    block_out += bias  # while the block is still in cache
+
+        map_blocks(run, len(blocks))
         if is_grad_enabled():
             ctx.save_for_backward(
                 padded, w_mat, weight.shape, x.shape, stride, padding,
@@ -199,42 +215,65 @@ class Conv2d(Function):
         # The input (e.g. a clean training batch, as opposed to an attack's
         # perturbation variable) or the weights (frozen by an attack) may
         # take no gradient: then that GEMM, and the column rebuild or the
-        # scatter, are skipped.
-        grad_w_mat = grad_bias = grad_x = None
-        if ctx.needs(1):
+        # scatter, are skipped.  The weight and bias gradients are kept as
+        # one partial per block and summed in block order below, so they
+        # do not depend on which lane ran which block.
+        need_x, need_w = ctx.needs(0), ctx.needs(1)
+        need_bias = has_bias and ctx.needs(2)
+        if need_w:
             windows = column_windows(padded, kh, kw, stride)
-            cols = np.empty((per_block * rows, k), padded.dtype)
-            grad_w_mat = np.zeros(
-                (c_out, k), np.result_type(grad.dtype, padded.dtype)
+            # The narrower operand goes on the left of the weight-gradient
+            # GEMM: OpenBLAS runs conv1's (9 x rows) @ (rows x 16) about a
+            # third faster than (16 x rows) @ (rows x 9), and conv2's
+            # (32 x rows) @ (rows x 144) faster than its transpose.
+            cols_left = k < c_out
+            w_partials = np.empty(
+                (len(blocks), *((k, c_out) if cols_left else (c_out, k))),
+                np.result_type(grad.dtype, padded.dtype),
             )
-        if has_bias and ctx.needs(2):
-            # A GEMV against ones: a column sum of the tall, narrow
-            # gradient matrix is several times slower as an axis-0 reduce.
-            ones = np.ones(per_block * rows, grad.dtype)
-            grad_bias = np.zeros(c_out, grad.dtype)
-        if ctx.needs(0):
+        if need_bias:
+            bias_partials = np.empty((len(blocks), c_out), grad.dtype)
+        if need_x:
             result_dtype = np.result_type(grad.dtype, w_mat.dtype)
             # One (C_out, C_in) weight matrix per kernel position: the input
             # gradient is built position-major (see scatter_columns).
             w_pos = w_mat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
-            positions = np.empty(
-                (kh * kw, per_block * rows, c_in), result_dtype
-            )
             grad_x = np.empty((n, h, w, c_in), result_dtype)
-            if padding > 0:
-                grad_padded = np.empty(
-                    (per_block, *padded.shape[1:]), result_dtype
+
+        def run(indices):
+            if need_w:
+                cols = np.empty((per_block * rows, k), padded.dtype)
+            if need_bias:
+                # A GEMV against ones: a column sum of the tall, narrow
+                # gradient matrix is several times slower as an axis-0
+                # reduce.
+                ones = np.ones(per_block * rows, grad.dtype)
+            if need_x:
+                positions = np.empty(
+                    (kh * kw, per_block * rows, c_in), result_dtype
                 )
-        for block in blocks:
-            count = block.stop - block.start
-            block_rows = count * rows
-            grad_mat = grad[block].reshape(-1, c_out)
-            if grad_w_mat is not None:
-                gather_columns(windows[block], out=cols[:block_rows])
-                grad_w_mat += grad_mat.T @ cols[:block_rows]
-            if grad_bias is not None:
-                grad_bias += ones[:block_rows] @ grad_mat
-            if grad_x is not None:
+                if padding > 0:
+                    grad_padded = np.empty(
+                        (per_block, *padded.shape[1:]), result_dtype
+                    )
+            for i in indices:
+                block = blocks[i]
+                count = block.stop - block.start
+                block_rows = count * rows
+                grad_mat = grad[block].reshape(-1, c_out)
+                if need_w:
+                    block_cols = cols[:block_rows]
+                    gather_columns(windows[block], out=block_cols)
+                    if cols_left:
+                        np.matmul(block_cols.T, grad_mat, out=w_partials[i])
+                    else:
+                        np.matmul(grad_mat.T, block_cols, out=w_partials[i])
+                if need_bias:
+                    np.matmul(
+                        ones[:block_rows], grad_mat, out=bias_partials[i]
+                    )
+                if not need_x:
+                    continue
                 block_positions = positions[:, :block_rows]
                 if c_in == 1:
                     # Each position's product is then a vector: one GEMM
@@ -257,15 +296,23 @@ class Conv2d(Function):
                     grad_x[block] = grad_padded[
                         :count, padding : padding + h, padding : padding + w
                     ]
-        if grad_w_mat is not None:
+
+        map_blocks(run, len(blocks))
+        grad_w_mat = grad_bias = None
+        if need_w:
             # Back from the (kh, kw, C) column order to a C-contiguous
             # (C_out, C_in, kh, kw) gradient.
+            grad_w_mat = _sum_blocks(w_partials)
+            if cols_left:
+                grad_w_mat = grad_w_mat.T
             grad_w_mat = np.ascontiguousarray(
                 grad_w_mat.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
             )
-        if grad_x is not None:
+        if need_bias:
+            grad_bias = _sum_blocks(bias_partials)
+        if need_x:
             grad_x = grad_x.transpose(0, 3, 1, 2)
-        return grad_x, grad_w_mat, grad_bias
+        return (grad_x if need_x else None), grad_w_mat, grad_bias
 
 
 def _pool_tiles(shape, kernel_size, stride, padding):
@@ -303,8 +350,9 @@ def _max_pool_2x2(x):
     np.argmax's generic reduction.  Strict ``>`` comparisons keep np.argmax's
     first-max tie-breaking; the slot index is selected branch-free (np.where
     is several times slower on random masks).  Runs one block of images at a
-    time (see ``_BLOCK_BYTES``) so the slot temporaries stay in cache; only
-    ``out`` and ``argmax`` are batch-sized.
+    time (see ``_BLOCK_BYTES``), the blocks split across the kernel lanes,
+    so the slot temporaries stay in cache; only ``out`` and ``argmax`` are
+    batch-sized.
     """
     n, h, w, c = x.shape
     view = _windows(x, 2)
@@ -312,27 +360,34 @@ def _max_pool_2x2(x):
     argmax = np.empty(out.shape, np.int8)
     per_block, blocks = _image_blocks(n, x[0].nbytes)
     block_shape = (per_block, *out.shape[1:])
-    scratch = [np.empty(block_shape, x.dtype)] + [
-        np.empty(block_shape, np.bool_) for _ in range(3)
-    ]
-    for block in blocks:
-        v = view[block]
-        s0, s1 = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
-        s2, s3 = v[:, :, 1, :, 0], v[:, :, 1, :, 1]
-        m01, slot = out[block], argmax[block]
-        m23, a01, a23, high = (a[: block.stop - block.start] for a in scratch)
-        np.maximum(s0, s1, out=m01)
-        np.maximum(s2, s3, out=m23)
-        np.greater(s1, s0, out=a01)
-        np.greater(s3, s2, out=a23)
-        np.greater(m23, m01, out=high)
-        # slot = a01 + high * (a23 + 2 - a01), in int8.
-        a01 = a01.view(np.int8)
-        np.subtract(a23.view(np.int8), a01, out=slot)
-        slot += 2
-        slot *= high
-        slot += a01
-        np.maximum(m01, m23, out=m01)
+
+    def run(indices):
+        scratch = [np.empty(block_shape, x.dtype)] + [
+            np.empty(block_shape, np.bool_) for _ in range(3)
+        ]
+        for i in indices:
+            block = blocks[i]
+            v = view[block]
+            s0, s1 = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
+            s2, s3 = v[:, :, 1, :, 0], v[:, :, 1, :, 1]
+            m01, slot = out[block], argmax[block]
+            m23, a01, a23, high = (
+                a[: block.stop - block.start] for a in scratch
+            )
+            np.maximum(s0, s1, out=m01)
+            np.maximum(s2, s3, out=m23)
+            np.greater(s1, s0, out=a01)
+            np.greater(s3, s2, out=a23)
+            np.greater(m23, m01, out=high)
+            # slot = a01 + high * (a23 + 2 - a01), in int8.
+            a01 = a01.view(np.int8)
+            np.subtract(a23.view(np.int8), a01, out=slot)
+            slot += 2
+            slot *= high
+            slot += a01
+            np.maximum(m01, m23, out=m01)
+
+    map_blocks(run, len(blocks))
     return out, argmax
 
 
@@ -377,14 +432,21 @@ class MaxPool2d(Function):
         if tiled_2x2:
             # 2x2 tiles: each cell takes its window's gradient where it holds
             # the argmax slot, zero elsewhere — one pass per slot view of
-            # the NHWC input gradient.
+            # each block of the NHWC input gradient.
             grad_x = np.empty((n, h, w, c), dtype=grad_output.dtype)
             slots = _windows(grad_x, 2)
-            for slot in range(4):
-                np.multiply(
-                    grad, argmax == slot,
-                    out=slots[:, :, slot // 2, :, slot % 2],
-                )
+            _, blocks = _image_blocks(n, grad_x[0].nbytes)
+
+            def run(indices):
+                for i in indices:
+                    block = blocks[i]
+                    for slot in range(4):
+                        np.multiply(
+                            grad[block], argmax[block] == slot,
+                            out=slots[block, :, slot // 2, :, slot % 2],
+                        )
+
+            map_blocks(run, len(blocks))
             return (grad_x.transpose(0, 3, 1, 2),)
         workspace = get_workspace()
         k2 = kernel_size * kernel_size

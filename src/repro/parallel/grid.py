@@ -10,8 +10,9 @@ workers through fork, never through pickle; only the per-item inputs and
 results are pickled (pass knob values in, return accuracies/curves out,
 not live models).
 
-Each worker starts by capping numpy's OpenBLAS at one thread, so N
-workers put N BLAS threads on the cores instead of N times the default.
+Each worker starts by capping numpy's OpenBLAS at one thread and the
+conv and pool kernels at one lane (:mod:`repro.autograd._lanes`), so N
+workers put N busy threads on the cores instead of N times the default.
 The fork hooks registered by :mod:`repro.runtime.workspace` and
 :mod:`repro.telemetry` give every worker a fresh buffer pool and clean
 telemetry locks.  With telemetry on, a worker collects the span and event
@@ -33,6 +34,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 import numpy as np
 
 from .. import telemetry as tel
+from ..autograd._lanes import set_lanes
 from ..telemetry import core as telcore
 
 __all__ = ["WorkerCrash", "parallel_map", "resolve_workers"]
@@ -79,7 +81,8 @@ def _openblas():
 
 
 def _init_worker(fn, ctx, traced) -> None:
-    """Start a worker: one BLAS thread, the caller's trace and telemetry."""
+    """Start a worker: one BLAS thread, one kernel lane, the caller's trace
+    and telemetry."""
     global _worker_fn, _worker_ctx, _worker_traced
     # A numpy built on another BLAS has no such library or symbol; the
     # cap is then a no-op.
@@ -88,6 +91,7 @@ def _init_worker(fn, ctx, traced) -> None:
     )
     if set_threads is not None:
         set_threads(1)
+    set_lanes(1)
     _worker_fn, _worker_ctx, _worker_traced = fn, ctx, traced
 
 

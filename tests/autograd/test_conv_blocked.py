@@ -5,19 +5,23 @@ replaced: one full-batch column matrix serves the forward GEMM and both
 gradient GEMMs, and the input gradient is one whole-batch ``col2im``.
 The blocked kernel computes the same sums per block of images, so float64
 results agree to rounding and float32 stays within its own precision of a
-float64 evaluation.
+float64 evaluation.  The blocks run on the kernel lanes; every lane count
+must give the same bits.
 """
 
+import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, conv2d
+from repro.autograd import Tensor, _lanes, conv2d
 from repro.autograd import ops_nn
 from repro.autograd._im2col import col2im, conv_output_size, im2col
 from repro.runtime import clear_workspace, get_workspace, precision
-from tests.helpers import in_layout
+from tests.helpers import in_layout, kernel_lanes
 
 CASES = [
     # (batch, c_in, size, c_out, kernel, stride, padding)
@@ -183,3 +187,94 @@ def test_backward_twice_accumulates():
     out.backward(grad)
     np.testing.assert_allclose(tx.grad, 2 * first[0])
     np.testing.assert_allclose(tw.grad, 2 * first[1])
+
+
+LANE_CASES = [
+    (128, 1, 28, 16, 3, 1, 1),    # mnist_cnn conv1 at batch 128
+    (128, 16, 14, 32, 3, 1, 1),   # mnist_cnn conv2 at batch 128
+    (13, 16, 14, 32, 3, 1, 1),    # last block partial
+    (1, 16, 14, 32, 3, 1, 1),     # one block: fewer blocks than lanes
+]
+# Which of (x, weight, bias) take a gradient: training (all), an attack
+# pass (input only), conv1 on a clean batch (parameters only), ...
+GRAD_MASKS = [
+    mask for mask in itertools.product((False, True), repeat=3) if any(mask)
+]
+
+
+def conv_on_lanes(lanes, case, dtype, mask):
+    """Output and the requested gradients of one conv on ``lanes`` lanes."""
+    stride, padding = case[5], case[6]
+    x, w, b, grad = (a.astype(dtype) for a in draw(case, "nhwc"))
+    with precision(dtype), kernel_lanes(lanes):
+        leaves = [
+            Tensor(a, requires_grad=needs) for a, needs in zip((x, w, b), mask)
+        ]
+        out = conv2d(*leaves, stride=stride, padding=padding)
+        out.backward(grad)
+    grads = [leaf.grad for leaf, needs in zip(leaves, mask) if needs]
+    return [out.data] + grads
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+@pytest.mark.parametrize("mask", GRAD_MASKS)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_results_do_not_depend_on_lane_count(case, dtype, mask, lanes):
+    """Per-block outputs and per-block weight/bias partials summed in block
+    order: every lane count computes the same bits."""
+    serial = conv_on_lanes(1, case, dtype, mask)
+    split = conv_on_lanes(lanes, case, dtype, mask)
+    for a, e in zip(split, serial):
+        assert a.dtype == e.dtype == np.dtype(dtype)
+        assert np.array_equal(a, e)
+
+
+def test_lane_error_waits_for_every_lane():
+    """An exception in lane 1 reaches the caller only after lane 0, which
+    may still be writing into the caller's arrays, has finished."""
+    caller = threading.current_thread()
+    finished = []
+
+    def run(indices):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("lane 1 failed")
+        time.sleep(0.2)
+        finished.append(list(indices))
+
+    with kernel_lanes(2), pytest.raises(RuntimeError, match="lane 1"):
+        _lanes.map_blocks(run, 4)
+    assert finished == [[0, 1, 2, 3]]
+
+
+def test_caller_error_waits_for_every_lane():
+    """An exception in lane 0 (the caller) propagates after lane 1 ends."""
+    caller = threading.current_thread()
+    finished = []
+
+    def run(indices):
+        if threading.current_thread() is caller:
+            raise RuntimeError("lane 0 failed")
+        time.sleep(0.2)
+        finished.append(list(indices))
+
+    with kernel_lanes(2), pytest.raises(RuntimeError, match="lane 0"):
+        _lanes.map_blocks(run, 4)
+    assert finished == [[0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_every_block_runs_once(lanes):
+    taken = []
+
+    def run(indices):
+        for i in indices:
+            time.sleep(0.001)
+            taken.append((i, threading.current_thread()))
+
+    with kernel_lanes(lanes):
+        _lanes.map_blocks(run, 8)
+        _lanes.map_blocks(run, 3)
+    assert sorted(i for i, _ in taken) == [0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7]
+    # At most one lane per two blocks: 3 blocks run inline.
+    assert len({thread for _, thread in taken[-3:]}) == 1

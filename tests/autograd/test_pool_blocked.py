@@ -4,7 +4,7 @@ The oracle is the whole-batch kernel the blocked one replaced: max/argmax
 over the four slot views of the full batch at once, and a backward that
 routes the gradient with one 6-D broadcast multiply.  Max, comparisons and
 the masked multiply are exact, so the blocked kernel must agree bit for bit
-in both dtypes, ties included.
+in both dtypes, ties included, on every number of kernel lanes.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import pytest
 from repro.autograd import Tensor, max_pool2d
 from repro.autograd import ops_nn
 from repro.runtime import precision
-from tests.helpers import in_layout
+from tests.helpers import in_layout, kernel_lanes
 
 SHAPES = [
     # (batch, channels, size)
@@ -126,3 +126,24 @@ def test_pool1_forward_holds_no_full_batch_temporaries():
         f"pool1 forward held {transient / 2**20:.2f} MiB of temporaries "
         f"(budget {budget / 2**20:.2f} MiB)"
     )
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", SHAPES + [(45, 16, 28), (1, 16, 28)])
+def test_results_do_not_depend_on_lane_count(shape, dtype, lanes):
+    """Forward, argmax and input gradient on one lane and on several,
+    including a partial last block (45 images: 5 blocks of up to 10) and
+    fewer blocks than lanes."""
+    x, grad = draw(shape, dtype, "nhwc")
+    results = []
+    for count in (1, lanes):
+        with precision(dtype), kernel_lanes(count):
+            tx = Tensor(x, requires_grad=True)
+            out = max_pool2d(tx, 2)
+            out.backward(grad)
+            _, argmax = ops_nn._max_pool_2x2(nhwc(x))
+        results.append((out.data, argmax, tx.grad))
+    for a, e in zip(*results):
+        assert a.dtype == e.dtype
+        assert np.array_equal(a, e)

@@ -4,7 +4,7 @@ import contextlib
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, _lanes
 from repro.autograd.engine import Function
 from repro.models.classifier import FeatureClassifier
 
@@ -29,6 +29,17 @@ def in_layout(arr, layout):
     if layout == "nchw":
         return np.ascontiguousarray(arr)
     return np.ascontiguousarray(arr.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@contextlib.contextmanager
+def kernel_lanes(count):
+    """Run the conv and pool kernels on ``count`` lanes inside the block,
+    then on one per usable CPU again."""
+    _lanes.set_lanes(count)
+    try:
+        yield
+    finally:
+        _lanes.set_lanes(None)
 
 
 @contextlib.contextmanager

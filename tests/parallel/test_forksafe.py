@@ -1,21 +1,30 @@
-"""Fork-safety regression tests for the workspace pool and telemetry.
+"""Fork-safety regression tests for the workspace pool, telemetry and the
+kernel lanes.
 
 Worker processes are forked mid-run, potentially while the parent holds a
-telemetry lock or a populated scratch-buffer pool.  The
-``os.register_at_fork`` hooks in :mod:`repro.runtime.workspace` and
-:mod:`repro.telemetry.core` must hand every child a fresh pool, an empty
-span stack, cleanly re-created locks and no inherited sinks — otherwise the
-first worker step deadlocks or double-counts.
+telemetry lock, a populated scratch-buffer pool or running kernel lanes.
+The ``os.register_at_fork`` hooks in :mod:`repro.runtime.workspace`,
+:mod:`repro.telemetry.core` and :mod:`repro.autograd._lanes` must hand
+every child a fresh pool, an empty span stack, cleanly re-created locks, no
+inherited sinks and no inherited lane threads — otherwise the first worker
+step deadlocks or double-counts.
 """
 
+import ast
+import hashlib
 import multiprocessing
+import os
+import select
+import signal
 
 import numpy as np
 
 from repro import telemetry as tel
+from repro.autograd import Tensor, conv2d
 from repro.parallel import parallel_map
 from repro.runtime.workspace import get_workspace
 from repro.telemetry import core as tel_core
+from tests.helpers import kernel_lanes
 
 _FORK = multiprocessing.get_context("fork")
 
@@ -142,3 +151,65 @@ class TestTelemetryForkSafety:
             assert "forksafe.child_only" not in parent
         finally:
             tel.set_enabled(previous)
+
+
+def _conv_digest(_=None):
+    """Digest of a conv2-shaped forward and backward (several blocks)."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(32, 16, 14, 14)), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
+    out = conv2d(x, w, padding=1)
+    out.backward(np.ones(out.shape))
+    digest = hashlib.sha256()
+    for array in (out.data, x.grad, w.grad):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _finishes_in_fork(work, timeout=30.0):
+    """Run ``work()`` in a raw ``os.fork`` child; its result, or ``None``
+    if the child has not reported within ``timeout`` seconds (the child
+    and everything it started are then killed)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child
+        try:
+            os.close(read_end)
+            os.setpgid(0, 0)
+            os.write(write_end, str(work()).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        ready, _, _ = select.select([read_end], [], [], timeout)
+        result = os.read(read_end, 4096).decode() if ready else None
+        if not ready:
+            os.killpg(pid, signal.SIGKILL)
+    finally:
+        os.close(read_end)
+        os.waitpid(pid, 0)
+    return result or None
+
+
+class TestKernelLanesForkSafety:
+    """A thread pool inherited through fork keeps its dead threads'
+    bookkeeping and never runs a task: a child that ran a conv on the
+    parent's lanes would hang."""
+
+    def test_raw_fork_child_runs_a_conv_on_two_lanes(self):
+        with kernel_lanes(2):
+            expected = _conv_digest()  # the parent's lanes are now running
+            assert _finishes_in_fork(_conv_digest) == expected
+
+    def test_grid_workers_run_a_conv(self):
+        """The workers run one lane and one BLAS thread; the parent's BLAS
+        may run more, which can change the weight gradient's rounding, so
+        the workers are compared with each other."""
+        with kernel_lanes(2):
+            _conv_digest()
+            result = _finishes_in_fork(
+                lambda: parallel_map(_conv_digest, [0, 1], num_workers=2)
+            )
+        assert result is not None, "a grid worker hung"
+        first, second = ast.literal_eval(result)
+        assert first == second

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.autograd._lanes import lane_count
 from repro.experiments import smoke_scale
 from repro.experiments.ablations import run_step_size_ablation
 from repro.experiments.figure1 import FIGURE1_CLASSIFIERS, run_figure1
 from repro.parallel import WorkerCrash, parallel_map
 from repro.parallel.grid import _openblas
+from tests.helpers import kernel_lanes
 
 
 class TestParallelMap:
@@ -80,6 +82,15 @@ class TestParallelMap:
             lambda _: get_threads(), [0, 1], num_workers=2
         ) == [1, 1]
         assert get_threads() == before
+
+    def test_workers_run_one_kernel_lane(self):
+        """Next to the BLAS cap: N workers put N busy threads on the cores,
+        not N times the parent's kernel lanes."""
+        with kernel_lanes(2):
+            assert parallel_map(
+                lambda _: lane_count(), [0, 1], num_workers=2
+            ) == [1, 1]
+            assert lane_count() == 2
 
 
 class TestGridSweeps:
