@@ -26,15 +26,11 @@ process), so a parallel sweep reproduces the serial sweep's numbers.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-import numpy as np
-
 from .. import telemetry as tel
-from ..autograd._lanes import set_lanes
+from ..autograd._lanes import _openblas, set_lanes
 from ..telemetry import core as telcore
 
 __all__ = ["WorkerCrash", "parallel_map", "resolve_workers"]
@@ -65,19 +61,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 class WorkerCrash(RuntimeError):
     """A grid worker process died before every item finished."""
-
-
-def _openblas():
-    """numpy's bundled OpenBLAS as a ctypes handle, or ``None``."""
-    libs = os.path.join(
-        os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"
-    )
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            return ctypes.CDLL(path)
-        except OSError:
-            pass
-    return None
 
 
 def _init_worker(fn, ctx, traced) -> None:

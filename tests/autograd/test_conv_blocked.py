@@ -13,6 +13,7 @@ import itertools
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -278,3 +279,42 @@ def test_every_block_runs_once(lanes):
     assert sorted(i for i, _ in taken) == [0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7]
     # At most one lane per two blocks: 3 blocks run inline.
     assert len({thread for _, thread in taken[-3:]}) == 1
+
+
+def test_lanes_drop_the_call_when_done():
+    """Once ``map_blocks`` returns, no lane still holds the kernel's
+    closure, so its batch-sized arrays do not outlive the call."""
+    out = np.zeros(8)
+    alive = weakref.ref(out)
+
+    def run(indices, out=out):  # holds the array as a kernel's closure does
+        for i in indices:
+            time.sleep(0.001)
+            out[i] = i
+
+    with kernel_lanes(2):
+        _lanes.map_blocks(run, 8)
+    del run, out
+    assert alive() is None
+
+
+@pytest.mark.parametrize("blas", [1, 2])
+def test_default_lanes_follow_blas_threads(blas):
+    """By default the kernels run on one lane per usable CPU only while
+    numpy's OpenBLAS runs one thread: lanes on top of a multi-threaded
+    BLAS oversubscribe the cores."""
+    library = _lanes._openblas()
+    get_threads = getattr(library, "scipy_openblas_get_num_threads64_", None)
+    if get_threads is None:
+        pytest.skip("numpy is not built on scipy-openblas")
+    set_threads = library.scipy_openblas_set_num_threads64_
+    before = get_threads()
+    set_threads(blas)
+    try:
+        with kernel_lanes(None):
+            expected = _lanes._usable_cpus() if blas == 1 else 1
+            assert _lanes.lane_count() == expected
+        with kernel_lanes(2):  # a count set explicitly holds either way
+            assert _lanes.lane_count() == 2
+    finally:
+        set_threads(before)
