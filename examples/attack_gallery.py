@@ -1,4 +1,4 @@
-"""Attack gallery: compare FGSM / BIM / PGD / MIM / random noise.
+"""Attack gallery: compare FGSM / BIM / PGD / random noise.
 
 Trains a vanilla classifier and runs every attack in the library against
 it at the same budget, reporting accuracy, the actual l_inf perturbation
@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from repro.attacks import BIM, FGSM, MIM, PGD, RandomNoise
+from repro.attacks import BIM, FGSM, PGD, RandomNoise
 from repro.data import DataLoader, load_dataset
 from repro.defenses import build_trainer
 from repro.eval import clean_accuracy, format_percent, format_table, robust_accuracy
@@ -57,7 +57,6 @@ def main() -> None:
         FGSM(model, eps),
         BIM(model, eps, num_steps=10),
         PGD(model, eps, num_steps=10, rng=0),
-        MIM(model, eps, num_steps=10),
     ]
     rows = []
     for attack in attacks:

@@ -1,10 +1,18 @@
 #!/usr/bin/env python
-"""Fail if the docs reference a benchmark snapshot that does not exist.
+"""Fail if the docs cite a file path that does not exist.
 
-The README and the docs/ pages cite committed artefacts under
-``benchmarks/results/`` (speedup gates, rendered tables).  A renamed or
-deleted snapshot silently turns those citations into dead links; the CI
-lint job runs this script to catch that at review time.
+The README, DESIGN.md, EXPERIMENTS.md and the docs/ pages cite files of
+the repository in backticks: benchmark snapshots under
+``benchmarks/results/``, test files, examples, modules.  A renamed or
+deleted file silently turns those citations into dead links; the CI lint
+job runs this script to catch that at review time.
+
+A citation is a backticked path with a directory part that names a file
+(its last component has an extension) or a directory (it ends in ``/``),
+optionally followed by a ``:line`` or ``::test`` suffix.  It resolves if
+it exists under the repository root, ``src/`` or ``src/repro/`` (so
+``repro/cli.py`` and ``attacks/loop.py`` both resolve).  Globs, URL paths
+and MIME types are not citations.
 
 Beyond resolving every citation, the gate snapshots listed in
 ``REQUIRED_SNAPSHOTS`` must both exist *and* be cited from at least one
@@ -13,8 +21,8 @@ the docs make, so dropping the citation (not just the file) is a
 failure too.
 
 Usage: ``python scripts/check_snapshots.py`` (from anywhere; paths resolve
-relative to the repository root).  Exit code 0 when every referenced
-snapshot exists, 1 otherwise (missing paths are listed).
+relative to the repository root).  Exit code 0 when every cited path
+exists, 1 otherwise (missing paths are listed).
 """
 
 from __future__ import annotations
@@ -26,9 +34,13 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# benchmarks/results/<file> with a real extension; tolerates the reference
-# being wrapped in backticks, parentheses or markdown links.
-_REFERENCE = re.compile(r"benchmarks/results/[\w.\-]+\.\w+")
+# `dir/file.ext`, `dir/sub/`, with an optional `:12-34` or `::test` suffix.
+_CITATION = re.compile(
+    r"`([\w.\-]+(?:/[\w.\-]+)*(?:/|/[\w\-]*\.\w+))(?::[^`\s]*)?`"
+)
+
+# Citations resolve under these roots, in order.
+_ROOTS = ("", "src", os.path.join("src", "repro"))
 
 # Speedup/overhead gate snapshots: each must exist and be cited by a doc.
 REQUIRED_SNAPSHOTS = (
@@ -41,11 +53,20 @@ REQUIRED_SNAPSHOTS = (
 
 
 def _doc_files() -> list:
-    files = [os.path.join(REPO_ROOT, "README.md")]
+    files = [
+        os.path.join(REPO_ROOT, name)
+        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+    ]
     files.extend(
         sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
     )
     return [path for path in files if os.path.isfile(path)]
+
+
+def _resolves(path: str) -> bool:
+    return any(
+        os.path.exists(os.path.join(REPO_ROOT, root, path)) for root in _ROOTS
+    )
 
 
 def main() -> int:
@@ -55,25 +76,23 @@ def main() -> int:
     for doc in _doc_files():
         with open(doc, encoding="utf-8") as handle:
             text = handle.read()
-        for reference in sorted(set(_REFERENCE.findall(text))):
+        for path in sorted(set(_CITATION.findall(text))):
             checked += 1
-            cited.add(reference)
-            if not os.path.isfile(os.path.join(REPO_ROOT, reference)):
-                missing.append(
-                    f"{os.path.relpath(doc, REPO_ROOT)} -> {reference}"
-                )
+            cited.add(path)
+            if not _resolves(path):
+                missing.append(f"{os.path.relpath(doc, REPO_ROOT)} -> {path}")
     for required in REQUIRED_SNAPSHOTS:
         if not os.path.isfile(os.path.join(REPO_ROOT, required)):
             missing.append(f"required gate snapshot absent: {required}")
         elif required not in cited:
             missing.append(f"required gate snapshot uncited: {required}")
     if missing:
-        print("missing benchmark snapshots referenced by the docs:")
+        print("missing files cited by the docs:")
         for line in missing:
             print(f"  {line}")
         return 1
     print(
-        f"ok: {checked} snapshot reference(s) all resolve, "
+        f"ok: {checked} cited path(s) all resolve, "
         f"{len(REQUIRED_SNAPSHOTS)} required gate snapshot(s) cited"
     )
     return 0

@@ -9,7 +9,8 @@ The package is organised bottom-up:
 * :mod:`repro.optim` — optimizers.
 * :mod:`repro.data` — datasets, loaders, synthetic MNIST/Fashion stand-ins.
 * :mod:`repro.models` — classifier architectures used in the experiments.
-* :mod:`repro.attacks` — FGSM / BIM / PGD / MIM white-box attacks.
+* :mod:`repro.attacks` — FGSM / BIM / PGD white-box attacks, plus SPSA and
+  random noise as gradient-free cross-checks.
 * :mod:`repro.defenses` — vanilla, FGSM-Adv, Iter-Adv, ATDA, and the
   paper's proposed epoch-wise trainer.
 * :mod:`repro.eval` — robustness metrics and measurement protocols.

@@ -1,14 +1,11 @@
 """Evasion attacks, the attack-iteration engine and the attack registry.
 
 * :class:`AttackLoop` — the composable iteration engine every attack here
-  is built on (initializer / gradient estimator / step rule / projection /
-  stop condition), with batched per-example early stopping and
-  multi-restart.
+  is built on (initializer / gradient estimator / step rule / projection).
 * :class:`FGSM` — single-step sign attack (Goodfellow et al., 2015).
 * :class:`BIM` — iterative FGSM (Kurakin et al., 2016); central to the
   paper's Figures 1-2 and Table I.  Exposes intermediate iterates.
 * :class:`PGD` — BIM with random start (Madry et al., 2017).
-* :class:`MIM` — momentum iterative method (Dong et al., 2018).
 * :class:`RandomNoise` — gradient-free noise baseline.
 * :func:`build_attack` / :func:`parse_attack_spec` — the single canonical
   registry (``"bim:num_steps=30"`` spec strings) consumed by defenses,
@@ -22,19 +19,14 @@ from .loop import (
     AttackLoop,
     BackpropGradient,
     BoxProjection,
-    GradientEstimator,
     GradientStep,
     LinfBoxProjection,
-    LoopState,
-    Misclassified,
-    MomentumSignStep,
     SignStep,
     SpsaGradient,
     UniformLinfInit,
     zero_init,
 )
 from .losses import margin_loss
-from .mim import MIM
 from .noise import RandomNoise
 from .pgd import PGD
 from .registry import (
@@ -42,6 +34,7 @@ from .registry import (
     attack_names,
     build_attack,
     canonical_attack_name,
+    check_attack_spec,
     parse_attack_spec,
     register_attack,
 )
@@ -55,22 +48,17 @@ __all__ = [
     "FGSM",
     "BIM",
     "PGD",
-    "MIM",
     "SPSA",
     "RandomNoise",
     "margin_loss",
     # engine
     "AttackLoop",
-    "LoopState",
     "GradientStep",
-    "GradientEstimator",
     "BackpropGradient",
     "SpsaGradient",
     "SignStep",
-    "MomentumSignStep",
     "LinfBoxProjection",
     "BoxProjection",
-    "Misclassified",
     "UniformLinfInit",
     "zero_init",
     # registry
@@ -79,5 +67,6 @@ __all__ = [
     "attack_names",
     "canonical_attack_name",
     "parse_attack_spec",
+    "check_attack_spec",
     "build_attack",
 ]

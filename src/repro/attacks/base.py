@@ -2,8 +2,9 @@
 
 All attacks operate on numpy image batches in the unit box ``[0, 1]`` and
 return perturbed numpy batches.  White-box gradients are obtained through
-the autograd engine by marking the input tensor as requiring grad —
-exactly the mechanism the paper's equations describe::
+the autograd engine by marking the input tensor as requiring grad
+(:class:`~repro.attacks.loop.BackpropGradient`) — exactly the mechanism
+the paper's equations describe::
 
     delta_i = sign( d L(C(x_{i-1}), y) / d x_{i-1} ) * eps_i
     x_i     = clip(x_{i-1} + delta_i)
@@ -20,7 +21,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..autograd import Tensor
 from ..nn import Module, cross_entropy
 from ..runtime import ensure_float_array
 from ..utils.validation import check_image_batch
@@ -111,9 +111,6 @@ class Attack:
         cross-entropy as in the paper.
     clip_min, clip_max:
         Valid pixel range.
-    targeted:
-        If ``True``, labels passed to :meth:`generate` are *target* classes
-        and the attack descends the loss instead of ascending it.
     """
 
     def __init__(
@@ -122,7 +119,6 @@ class Attack:
         loss_fn: Callable = cross_entropy,
         clip_min: float = 0.0,
         clip_max: float = 1.0,
-        targeted: bool = False,
     ) -> None:
         if clip_min >= clip_max:
             raise ValueError(
@@ -132,28 +128,6 @@ class Attack:
         self.loss_fn = loss_fn
         self.clip_min = clip_min
         self.clip_max = clip_max
-        self.targeted = targeted
-
-    # ------------------------------------------------------------------
-    def input_gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of the loss w.r.t. the input batch."""
-        # No dtype cast: perturbation math runs in the input's own floating
-        # dtype (the policy decides it upstream, when the batch is created).
-        x_tensor = Tensor(ensure_float_array(x), requires_grad=True)
-        with frozen_parameters(self.model):
-            logits = self.model(x_tensor)
-            loss = self.loss_fn(logits, y)
-            loss.backward()
-        grad = x_tensor.grad
-        if grad is None:
-            raise RuntimeError(
-                "input received no gradient; is the model differentiable?"
-            )
-        return grad
-
-    def loss_direction(self) -> float:
-        """+1 for untargeted ascent, -1 for targeted descent."""
-        return -1.0 if self.targeted else 1.0
 
     # ------------------------------------------------------------------
     def generate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

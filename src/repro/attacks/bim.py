@@ -9,8 +9,8 @@ This is the attack at the centre of the paper:
 
 The class is a declarative composition over the attack engine: zero
 initialisation, backprop gradients, sign steps, and the fused
-l_inf-ball + box projection.  Subclasses (PGD, MIM) swap individual
-pieces by overriding the ``_make_*`` factories.
+l_inf-ball + box projection.  Subclasses (PGD, SPSA) swap the initializer
+or the gradient estimator by overriding the ``_make_*`` factories.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .loop import (
     BackpropGradient,
     GradientStep,
     LinfBoxProjection,
-    Misclassified,
     SignStep,
     zero_init,
 )
@@ -49,11 +48,6 @@ class BIM(Attack):
         Per-step perturbation (the paper's ``eps_s``).  Defaults to
         ``epsilon / num_steps`` — the schedule Figure 1 uses — so the total
         perturbation after ``N`` steps exactly reaches the budget.
-    early_stop:
-        Mask examples the model already misclassifies out of subsequent
-        forward/backward passes (batched per-example early stopping).
-        Off by default, which keeps the attack bit-for-bit identical to
-        the classic run-every-step loop.
     """
 
     def __init__(
@@ -62,7 +56,6 @@ class BIM(Attack):
         epsilon: float,
         num_steps: int = 10,
         step_size: Optional[float] = None,
-        early_stop: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(model, **kwargs)
@@ -76,7 +69,6 @@ class BIM(Attack):
             else self.epsilon / self.num_steps
         )
         check_positive("step_size", self.step_size)
-        self.early_stop = bool(early_stop)
         self._loop: Optional[AttackLoop] = None
 
     # ------------------------------------------------------------------
@@ -85,35 +77,23 @@ class BIM(Attack):
     def _make_estimator(self):
         return BackpropGradient(self.model, self.loss_fn)
 
-    def _make_rule(self):
-        return SignStep(self.step_size)
-
-    def _make_projection(self):
-        return LinfBoxProjection(self.epsilon, self.clip_min, self.clip_max)
-
     def _make_initializer(self):
         return zero_init
-
-    def _restarts(self) -> int:
-        return 1
 
     @property
     def loop(self) -> AttackLoop:
         """The underlying :class:`AttackLoop` (built on first use)."""
         if self._loop is None:
             self._loop = AttackLoop(
-                self.model,
                 GradientStep(
                     self._make_estimator(),
-                    self._make_rule(),
-                    self._make_projection(),
-                    direction=self.loss_direction(),
+                    SignStep(self.step_size),
+                    LinfBoxProjection(
+                        self.epsilon, self.clip_min, self.clip_max
+                    ),
                 ),
                 num_steps=self.num_steps,
                 initializer=self._make_initializer(),
-                stop=Misclassified(self.targeted),
-                early_stop=self.early_stop,
-                restarts=self._restarts(),
             )
         return self._loop
 

@@ -12,7 +12,6 @@ from .loop import (
     BoxProjection,
     GradientStep,
     SignStep,
-    zero_init,
 )
 
 __all__ = ["FGSM"]
@@ -28,7 +27,7 @@ class FGSM(Attack):
 
     Parameters
     ----------
-    model, loss_fn, clip_min, clip_max, targeted:
+    model, loss_fn, clip_min, clip_max:
         See :class:`~repro.attacks.base.Attack`.
     epsilon:
         Perturbation budget (l_inf radius).
@@ -39,15 +38,12 @@ class FGSM(Attack):
         check_positive("epsilon", epsilon)
         self.epsilon = float(epsilon)
         self._loop = AttackLoop(
-            model,
             GradientStep(
                 BackpropGradient(model, self.loss_fn),
                 SignStep(self.epsilon),
                 BoxProjection(self.clip_min, self.clip_max),
-                direction=self.loss_direction(),
             ),
             num_steps=1,
-            initializer=zero_init,
         )
 
     def generate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

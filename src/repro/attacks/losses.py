@@ -29,8 +29,7 @@ def margin_loss(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
     logits:
         ``(N, C)`` raw scores.
     labels:
-        ``(N,)`` integer true classes (or targets, for targeted attacks —
-        descending the margin of the target class is then the objective).
+        ``(N,)`` integer true classes.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:

@@ -29,7 +29,6 @@ class RandomNoise(Attack):
         self.epsilon = float(epsilon)
         self._rng = ensure_rng(rng)
         self._loop = AttackLoop(
-            model,
             step_fn=None,
             num_steps=0,
             initializer=UniformLinfInit(

@@ -6,7 +6,7 @@ from typing import Optional
 
 from ..utils.rng import RngLike, ensure_rng
 from .bim import BIM
-from .loop import UniformLinfInit, zero_init
+from .loop import UniformLinfInit
 
 __all__ = ["PGD"]
 
@@ -20,18 +20,12 @@ class PGD(BIM):
     deeper understanding of Single-Adv and Iter-Adv").
 
     On the attack engine this is BIM with the initializer swapped for
-    :class:`~repro.attacks.loop.UniformLinfInit`, plus optional
-    multi-restart (each extra restart re-attacks only the examples the
-    previous runs failed to fool, from a fresh random start).
+    :class:`~repro.attacks.loop.UniformLinfInit`.
 
     Parameters
     ----------
     rng:
         Seed or generator for the random start.
-    random_start:
-        Disable to recover plain BIM behaviour.
-    restarts:
-        Number of random restarts (1 = classic PGD).
     """
 
     def __init__(
@@ -41,25 +35,14 @@ class PGD(BIM):
         num_steps: int = 10,
         step_size: Optional[float] = None,
         rng: RngLike = None,
-        random_start: bool = True,
-        restarts: int = 1,
         **kwargs,
     ) -> None:
-        if restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {restarts}")
         super().__init__(
             model, epsilon, num_steps=num_steps, step_size=step_size, **kwargs
         )
-        self.random_start = random_start
-        self.restarts = int(restarts)
         self._rng = ensure_rng(rng)
 
     def _make_initializer(self):
-        if not self.random_start:
-            return zero_init
         return UniformLinfInit(
             self.epsilon, self._rng, self.clip_min, self.clip_max
         )
-
-    def _restarts(self) -> int:
-        return self.restarts

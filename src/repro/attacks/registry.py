@@ -9,8 +9,8 @@ single spec string builds any attack against any model:
 
 * ``"fgsm"`` — canonical name, library defaults;
 * ``"bim:num_steps=30"`` — parameters after a colon, comma-separated;
-* ``"pgd:num_steps=10,restarts=3,rng=0"`` — ints, floats and booleans are
-  coerced automatically;
+* ``"pgd:num_steps=10,rng=0"`` — ints, floats and booleans are coerced
+  automatically;
 * ``"bim10"`` / ``"bim30"`` — paper-style aliases (Table I columns);
 * ``"clean"`` / ``"none"`` — the no-attack baseline (resolves to ``None``,
   which evaluators treat as clean accuracy).
@@ -23,13 +23,13 @@ overrides.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .base import Attack
 from .bim import BIM
 from .fgsm import FGSM
-from .mim import MIM
 from .noise import RandomNoise
 from .pgd import PGD
 from .spsa import SPSA
@@ -40,6 +40,7 @@ __all__ = [
     "attack_names",
     "canonical_attack_name",
     "parse_attack_spec",
+    "check_attack_spec",
     "build_attack",
 ]
 
@@ -162,6 +163,45 @@ def parse_attack_spec(spec) -> AttackSpec:
     return AttackSpec(name, params)
 
 
+def _accepted_params(cls: type) -> Tuple[str, ...]:
+    """Keyword parameters ``cls(model, ...)`` accepts, following ``**kwargs``
+    up the constructor chain to the first ``__init__`` without them."""
+    names = set()
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = list(inspect.signature(init).parameters.values())[2:]
+        names.update(
+            p.name for p in params
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        )
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return ("epsilon",) + tuple(sorted(names - {"epsilon"}))
+
+
+def check_attack_spec(spec) -> AttackSpec:
+    """Parse ``spec`` and check it names a registered attack and only
+    parameters that attack's constructor accepts, without building it.
+
+    Raises ``KeyError`` for an unknown name and ``ValueError`` (naming the
+    accepted parameters) for an unknown parameter.
+    """
+    parsed = parse_attack_spec(spec)
+    name = canonical_attack_name(parsed.name)
+    if name == "clean":
+        return parsed
+    accepted = _accepted_params(_REGISTRY[name].cls)
+    unknown = sorted(set(parsed.params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"attack {parsed.name!r} takes no parameter(s) "
+            f"{', '.join(unknown)}; accepted: {', '.join(accepted)}"
+        )
+    return parsed
+
+
 def build_attack(
     spec,
     model,
@@ -187,16 +227,10 @@ def build_attack(
     Returns ``None`` for the clean/no-attack spec, matching the evaluator
     convention that a ``None`` attack means clean accuracy.
     """
-    parsed = parse_attack_spec(spec)
+    parsed = check_attack_spec(spec)
     if parsed.name in _CLEAN_NAMES:
         return None
-    try:
-        entry = _REGISTRY[parsed.name]
-    except KeyError:
-        raise KeyError(
-            f"unknown attack {parsed.name!r}; choose from "
-            f"{attack_names() + tuple(sorted(_ALIASES)) + ('clean',)}"
-        ) from None
+    entry = _REGISTRY[parsed.name]
     kwargs: Dict[str, object] = dict(entry.defaults)
     kwargs.update(overrides)
     kwargs.update(parsed.params)
@@ -217,7 +251,6 @@ def build_attack(
 register_attack("fgsm", FGSM)
 register_attack("bim", BIM)
 register_attack("pgd", PGD)
-register_attack("mim", MIM)
 register_attack("spsa", SPSA)
 register_attack("noise", RandomNoise)
 

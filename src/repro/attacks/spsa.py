@@ -9,8 +9,8 @@ robustness real?" cross-check and complements the diagnostics in
 
 On the attack engine this is simply BIM's composition with the backprop
 estimator swapped for :class:`~repro.attacks.loop.SpsaGradient` — the
-``GradientEstimator`` seam is exactly where white-box and black-box
-attacks diverge.
+gradient-estimator seam is exactly where white-box and black-box attacks
+diverge.
 """
 
 from __future__ import annotations

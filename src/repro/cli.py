@@ -110,15 +110,20 @@ def _cmd_audit(args) -> int:
     from .eval import RobustnessEvaluator, gradient_masking_report
 
     config = _config_for(args)
+    # The suite is built (and its specs checked) before anything trains.
+    if args.attack:
+        try:
+            suite = RobustnessEvaluator.from_specs(
+                args.attack, epsilon=config.resolved_epsilon
+            )
+        except (KeyError, ValueError) as exc:
+            print(f"repro audit: bad --attack spec: {exc}", file=sys.stderr)
+            return 2
+    else:
+        suite = RobustnessEvaluator.paper_suite(config.resolved_epsilon)
     pool = ClassifierPool(config, verbose=args.verbose)
     model = pool.get(args.defense).model
     x, y = pool.test_x, pool.test_y
-    if args.attack:
-        suite = RobustnessEvaluator.from_specs(
-            args.attack, epsilon=config.resolved_epsilon
-        )
-    else:
-        suite = RobustnessEvaluator.paper_suite(config.resolved_epsilon)
     print(f"robust accuracy: {suite.evaluate(model, x, y)}")
     report = gradient_masking_report(
         model, x, y, epsilon=config.resolved_epsilon

@@ -129,7 +129,6 @@ class EpochwiseAdvTrainer(MixedAdversarialTrainer):
         # rule, fused l_inf+box projection) with the clean example as the
         # projection anchor.
         self._stepper = AttackLoop(
-            self.model,
             GradientStep(
                 BackpropGradient(self.model, self.loss_fn),
                 SignStep(self.step_size),

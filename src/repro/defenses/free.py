@@ -130,7 +130,7 @@ class FreeAdvTrainer(Trainer):
             # ... and perturbation ascent (the engine's sign rule,
             # clamped to the budget in delta space).
             with tel.span("attack"):
-                delta = delta + self._ascent(x_tensor.grad, None)
+                delta = delta + self._ascent(x_tensor.grad)
                 np.clip(delta, -self.epsilon, self.epsilon, out=delta)
             losses.append(loss.item())
         self._store_delta(batch, delta)

@@ -21,8 +21,7 @@ from .. import telemetry as tel
 from ..attacks import (
     Attack,
     build_attack,
-    canonical_attack_name,
-    parse_attack_spec,
+    check_attack_spec,
 )
 from ..nn import Module
 from .metrics import accuracy
@@ -180,12 +179,12 @@ class RobustnessEvaluator:
         Each spec (``"fgsm"``, ``"bim:num_steps=30"``, ``"original"`` for
         clean accuracy, ...) becomes one column keyed by the spec string
         itself; ``epsilon`` supplies the budget for specs that do not set
-        it explicitly.
+        it explicitly.  An unknown attack (``KeyError``) or parameter
+        (``ValueError``) is rejected here, before any model is attacked.
         """
         builders: Dict[str, Callable[[Module], Optional[Attack]]] = {}
         for spec in specs:
-            parsed = parse_attack_spec(spec)
-            canonical_attack_name(parsed.name)  # fail fast on unknown names
+            parsed = check_attack_spec(spec)  # fail fast, before any attack
             builders[str(spec)] = (
                 lambda model, _parsed=parsed: build_attack(
                     _parsed, model, epsilon=epsilon

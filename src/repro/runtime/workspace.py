@@ -1,6 +1,6 @@
 """Reusable scratch-buffer pool backing the hot-path kernels.
 
-The pooling kernels, the data and attack layers and the autograd engine
+The pooling kernels, the data and defense layers and the autograd engine
 allocate the same handful of large, identically-shaped buffers on every
 training step: the whole-batch im2col column matrix and ``col2im`` padded
 image of non-tiling pool layouts, batch and perturbation buffers, and the

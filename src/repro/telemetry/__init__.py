@@ -8,7 +8,7 @@ Zero-dependency instrumentation shared by every layer of the stack::
         with tel.span("epoch", emit=True, trainer="proposed", epoch=0):
             with tel.span("forward"):
                 ...
-        tel.counter("attack.early_stop.retired", 12)
+        tel.counter("attack.loop.iterations", 10)
         tel.gauge("workspace.pool.bytes", 1 << 20)
 
 Spans keep a thread-local stack and fold their durations into their

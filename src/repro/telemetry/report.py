@@ -8,7 +8,7 @@
   phases (forward excludes the attack time nested inside it);
 * a **per-trainer summary** — mean seconds per epoch per trainer (the
   paper's Table I efficiency metric) with mean phase costs, plus the
-  AttackLoop early-stop and workspace-pool counters captured in the
+  attack-loop, workspace-pool and data counters captured in the
   end-of-run metrics snapshot.
 """
 
@@ -192,7 +192,7 @@ class RunReport:
         return "\n".join(["health:"] + lines)
 
     def render_counters(self) -> str:
-        """Early-stop / workspace / data counters from the metrics record."""
+        """Attack-loop / workspace / data counters from the metrics record."""
         counters = dict(self.metrics.get("counters", {}))
         gauges = dict(self.metrics.get("gauges", {}))
         lines = []

@@ -3,8 +3,7 @@
 Each ``_legacy_*`` function below is the pre-refactor implementation
 inlined (a function instead of a method, otherwise verbatim).  The engine
 rewrites must reproduce them **bit for bit** — ``np.array_equal``, not
-``allclose`` — under fixed seeds in float64.  Every attack that supports
-targeted mode is checked in both modes.
+``allclose`` — under fixed seeds in float64.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.attacks import (
     BIM,
     FGSM,
-    MIM,
     PGD,
     SPSA,
     RandomNoise,
@@ -42,16 +40,6 @@ def batch(digits_small):
     return x, y
 
 
-@pytest.fixture(scope="module")
-def targets(batch):
-    _x, y = batch
-    return (y + 3) % 10
-
-
-def _direction(targeted):
-    return -1.0 if targeted else 1.0
-
-
 def _input_gradient(model, x, y):
     x_tensor = Tensor(x, requires_grad=True)
     loss = cross_entropy(model(x_tensor), y)
@@ -63,63 +51,38 @@ def _input_gradient(model, x, y):
 # Legacy implementations (pre-refactor generate() bodies).
 # ----------------------------------------------------------------------
 
-def _legacy_fgsm(model, x, y, epsilon, targeted=False):
+def _legacy_fgsm(model, x, y, epsilon):
     grad = _input_gradient(model, x, y)
-    step = _direction(targeted) * epsilon * np.sign(grad)
+    step = epsilon * np.sign(grad)
     return clip_to_box(x + step)
 
 
-def _legacy_bim_step(model, x_adv, x_orig, y, epsilon, step_size, targeted):
+def _legacy_bim_step(model, x_adv, x_orig, y, epsilon, step_size):
     grad = _input_gradient(model, x_adv, y)
-    moved = x_adv + _direction(targeted) * step_size * np.sign(grad)
+    moved = x_adv + step_size * np.sign(grad)
     return clip_to_box(project_linf(moved, x_orig, epsilon))
 
 
-def _legacy_bim(model, x, y, epsilon, num_steps, targeted=False):
+def _legacy_bim(model, x, y, epsilon, num_steps):
     step_size = epsilon / num_steps
     x_adv = x.copy()
     for _ in range(num_steps):
-        x_adv = _legacy_bim_step(
-            model, x_adv, x, y, epsilon, step_size, targeted
-        )
+        x_adv = _legacy_bim_step(model, x_adv, x, y, epsilon, step_size)
     return x_adv
 
 
-def _legacy_pgd(
-    model, x, y, epsilon, num_steps, rng, random_start=True, targeted=False
-):
+def _legacy_pgd(model, x, y, epsilon, num_steps, rng):
     step_size = epsilon / num_steps
-    if random_start:
-        noise = rng.uniform(-epsilon, epsilon, size=x.shape).astype(
-            x.dtype, copy=False
-        )
-        x_adv = clip_to_box(x + noise)
-    else:
-        x_adv = x.copy()
+    noise = rng.uniform(-epsilon, epsilon, size=x.shape).astype(
+        x.dtype, copy=False
+    )
+    x_adv = clip_to_box(x + noise)
     for _ in range(num_steps):
-        x_adv = _legacy_bim_step(
-            model, x_adv, x, y, epsilon, step_size, targeted
-        )
+        x_adv = _legacy_bim_step(model, x_adv, x, y, epsilon, step_size)
     return x_adv
 
 
-def _legacy_mim(model, x, y, epsilon, num_steps, decay, targeted=False):
-    step_size = epsilon / num_steps
-    x_adv = x.copy()
-    momentum = np.zeros_like(x)
-    for _ in range(num_steps):
-        grad = _input_gradient(model, x_adv, y)
-        flat = np.abs(grad).reshape(len(grad), -1).mean(axis=1)
-        flat = np.maximum(flat, 1e-12).reshape((-1,) + (1,) * (grad.ndim - 1))
-        momentum = decay * momentum + grad / flat
-        moved = x_adv + _direction(targeted) * step_size * np.sign(momentum)
-        x_adv = clip_to_box(project_linf(moved, x, epsilon))
-    return x_adv
-
-
-def _legacy_spsa(
-    model, x, y, epsilon, num_steps, samples, delta, rng, targeted=False
-):
+def _legacy_spsa(model, x, y, epsilon, num_steps, samples, delta, rng):
     step_size = 2.0 * epsilon / num_steps
 
     def loss_values(x_probe):
@@ -144,7 +107,7 @@ def _legacy_spsa(
     x_adv = x.copy()
     for _ in range(num_steps):
         grad = estimate_gradient(x_adv)
-        moved = x_adv + _direction(targeted) * step_size * np.sign(grad)
+        moved = x_adv + step_size * np.sign(grad)
         x_adv = clip_to_box(project_linf(moved, x, epsilon))
     return x_adv
 
@@ -160,21 +123,17 @@ def _legacy_noise(x, epsilon, rng):
 # Equivalence checks.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("targeted", [False, True])
-def test_fgsm_bitwise(model, batch, targets, targeted):
+def test_fgsm_bitwise(model, batch):
     x, y = batch
-    labels = targets if targeted else y
-    new = FGSM(model, EPS, targeted=targeted).generate(x, labels)
-    old = _legacy_fgsm(model, x, labels, EPS, targeted=targeted)
+    new = FGSM(model, EPS).generate(x, y)
+    old = _legacy_fgsm(model, x, y, EPS)
     assert np.array_equal(new, old)
 
 
-@pytest.mark.parametrize("targeted", [False, True])
-def test_bim_bitwise(model, batch, targets, targeted):
+def test_bim_bitwise(model, batch):
     x, y = batch
-    labels = targets if targeted else y
-    new = BIM(model, EPS, num_steps=5, targeted=targeted).generate(x, labels)
-    old = _legacy_bim(model, x, labels, EPS, num_steps=5, targeted=targeted)
+    new = BIM(model, EPS, num_steps=5).generate(x, y)
+    old = _legacy_bim(model, x, y, EPS, num_steps=5)
     assert np.array_equal(new, old)
 
 
@@ -186,55 +145,24 @@ def test_bim_intermediates_bitwise(model, batch):
     step_size = EPS / 4
     x_adv = x.copy()
     for i in range(4):
-        x_adv = _legacy_bim_step(model, x_adv, x, y, EPS, step_size, False)
+        x_adv = _legacy_bim_step(model, x_adv, x, y, EPS, step_size)
         assert np.array_equal(iterates[i], x_adv)
 
 
-@pytest.mark.parametrize("targeted", [False, True])
-def test_pgd_bitwise(model, batch, targets, targeted):
+def test_pgd_bitwise(model, batch):
     x, y = batch
-    labels = targets if targeted else y
-    new = PGD(
-        model, EPS, num_steps=5, rng=11, targeted=targeted
-    ).generate(x, labels)
-    old = _legacy_pgd(
-        model, x, labels, EPS, 5,
-        np.random.default_rng(11), targeted=targeted,
-    )
+    new = PGD(model, EPS, num_steps=5, rng=11).generate(x, y)
+    old = _legacy_pgd(model, x, y, EPS, 5, np.random.default_rng(11))
     assert np.array_equal(new, old)
 
 
-def test_pgd_no_random_start_is_bim(model, batch):
+def test_spsa_bitwise(model, batch):
     x, y = batch
-    new = PGD(model, EPS, num_steps=5, random_start=False).generate(x, y)
-    old = _legacy_bim(model, x, y, EPS, num_steps=5)
-    assert np.array_equal(new, old)
-
-
-@pytest.mark.parametrize("targeted", [False, True])
-def test_mim_bitwise(model, batch, targets, targeted):
-    x, y = batch
-    labels = targets if targeted else y
-    new = MIM(
-        model, EPS, num_steps=5, decay=0.9, targeted=targeted
-    ).generate(x, labels)
-    old = _legacy_mim(
-        model, x, labels, EPS, 5, decay=0.9, targeted=targeted
-    )
-    assert np.array_equal(new, old)
-
-
-@pytest.mark.parametrize("targeted", [False, True])
-def test_spsa_bitwise(model, batch, targets, targeted):
-    x, y = batch
-    labels = targets if targeted else y
     new = SPSA(
         model, EPS, num_steps=3, samples=4, delta=0.01, rng=17,
-        targeted=targeted,
-    ).generate(x[:8], labels[:8])
+    ).generate(x[:8], y[:8])
     old = _legacy_spsa(
-        model, x[:8], labels[:8], EPS, 3, 4, 0.01,
-        np.random.default_rng(17), targeted=targeted,
+        model, x[:8], y[:8], EPS, 3, 4, 0.01, np.random.default_rng(17),
     )
     assert np.array_equal(new, old)
 

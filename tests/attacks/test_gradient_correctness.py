@@ -1,6 +1,6 @@
 """End-to-end correctness of attack input gradients.
 
-The attacks are only as correct as ``Attack.input_gradient``; this checks
+The attacks are only as correct as ``BackpropGradient``; this checks
 it against central finite differences through a real (small) model — the
 full path: conv/dense forward, cross-entropy, backward to the pixels.
 """
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import BIM, Attack
+from repro.attacks import BIM, BackpropGradient
 from repro.autograd import Tensor
 from repro.models import small_cnn
 from repro.nn import cross_entropy
@@ -33,7 +33,7 @@ class TestInputGradient:
         rng = np.random.default_rng(0)
         x = rng.uniform(0.2, 0.8, size=(2, 1, 8, 8))
         y = np.array([1, 4])
-        grad = Attack(model).input_gradient(x, y)
+        grad = BackpropGradient(model)(x, y)
         eps = 1e-5
         # Probe a handful of random coordinates.
         flat = x.reshape(-1)
@@ -53,10 +53,10 @@ class TestInputGradient:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.2, 0.8, size=(3, 1, 8, 8))
         y = np.array([0, 1, 2])
-        attack = Attack(model)
+        input_gradient = BackpropGradient(model)
         # cross_entropy mean-reduces, so scale by batch size for comparison.
-        full = attack.input_gradient(x, y) * 3
-        solo = attack.input_gradient(x[1:2], y[1:2]) * 1
+        full = input_gradient(x, y) * 3
+        solo = input_gradient(x[1:2], y[1:2]) * 1
         assert np.allclose(full[1], solo[0], atol=1e-10)
 
 

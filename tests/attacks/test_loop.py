@@ -1,8 +1,9 @@
 """Tests for the composable AttackLoop engine.
 
-The unmasked path's bit-exactness is covered by ``test_equivalence.py``;
-these tests cover the engine-only behaviours: batched early stopping,
-multi-restart, the step protocol and the workspace-pooled compaction.
+The loop's bit-exactness is covered by ``test_equivalence.py``; these
+tests cover the step protocol and the entry points a profiler hooks:
+``GradientStep.__call__`` runs once per attack iteration (with exactly one
+backward) and ``AttackLoop.step`` once per epoch-wise defense batch.
 """
 
 import numpy as np
@@ -10,25 +11,25 @@ import pytest
 
 from repro.attacks import (
     BIM,
-    PGD,
+    FGSM,
     AttackLoop,
     BackpropGradient,
     GradientStep,
     LinfBoxProjection,
-    Misclassified,
     SignStep,
-    UniformLinfInit,
-    zero_init,
 )
+from repro.data.loader import Batch
+from repro.defenses import EpochwiseAdvTrainer
 from repro.models import mnist_mlp
-from repro.runtime import get_workspace
+from repro.optim import Adam
+
+from tests.helpers import count_passes
 
 EPS = 0.3
 
 
 @pytest.fixture(scope="module")
 def model(digits_small):
-    train, _test = digits_small
     return mnist_mlp(seed=0)
 
 
@@ -39,150 +40,15 @@ def batch(digits_small):
     return np.asarray(x, dtype=np.float64)[:32], np.asarray(y)[:32]
 
 
-def _bim_loop(model, num_steps, early_stop=False, restarts=1, rng=None):
-    step_size = EPS / num_steps
-    initializer = (
-        UniformLinfInit(EPS, np.random.default_rng(rng))
-        if rng is not None
-        else zero_init
-    )
+def _bim_loop(model, num_steps):
     return AttackLoop(
-        model,
         GradientStep(
             BackpropGradient(model),
-            SignStep(step_size),
+            SignStep(EPS / num_steps),
             LinfBoxProjection(EPS),
         ),
         num_steps=num_steps,
-        initializer=initializer,
-        stop=Misclassified() if (early_stop or restarts > 1) else None,
-        early_stop=early_stop,
-        restarts=restarts,
     )
-
-
-class TestEarlyStop:
-    def test_retired_examples_keep_their_iterate(self, model, batch):
-        """Rows retire the moment the forward pass shows them fooled, and
-        every row of the masked run matches SOME iterate of the unmasked
-        run (rows are independent through an MLP, so compaction must not
-        change any surviving row's trajectory)."""
-        x, y = batch
-        masked = _bim_loop(model, 6, early_stop=True).run(x, y)
-        unmasked_iterates = [x] + BIM(
-            model, EPS, num_steps=6
-        ).generate_with_intermediates(x, y)
-        for row in range(len(x)):
-            assert any(
-                np.array_equal(masked[row], it[row])
-                for it in unmasked_iterates
-            ), f"row {row} matches no unmasked iterate"
-
-    def test_masked_run_is_as_strong(self, model, batch):
-        """Early stop must not weaken the attack: every example fooled by
-        the unmasked run is also fooled by the masked run (a fooled row is
-        frozen, never un-fooled by later steps)."""
-        x, y = batch
-        masked = _bim_loop(model, 6, early_stop=True).run(x, y)
-        unmasked = _bim_loop(model, 6, early_stop=False).run(x, y)
-        fooled_masked = model.predict(masked) != y
-        fooled_unmasked = model.predict(unmasked) != y
-        assert fooled_masked.sum() >= fooled_unmasked.sum()
-
-    def test_identical_when_nothing_retires(self, model, batch):
-        """With a stop condition that never fires, the masked driver must
-        be bit-identical to the unmasked one."""
-        x, y = batch
-        never = lambda model, xa, ya, state: np.zeros(len(ya), dtype=bool)
-        loop = _bim_loop(model, 4, early_stop=False)
-        loop.stop = never
-        loop.early_stop = True
-        masked = loop.run(x, y)
-        unmasked = _bim_loop(model, 4, early_stop=False).run(x, y)
-        assert np.array_equal(masked, unmasked)
-
-    def test_workspace_buffers_released(self, model, batch):
-        """Compaction scratch goes back to the pool: a repeat run with the
-        identical retirement schedule allocates nothing new."""
-        x, y = batch
-        workspace = get_workspace()
-        loop = _bim_loop(model, 4, early_stop=True)
-        loop.run(x, y)  # warm the pool
-        misses_before = workspace.misses
-        loop.run(x, y)  # deterministic: same shapes, served from the pool
-        assert workspace.misses == misses_before
-
-
-class TestRestarts:
-    def test_restarts_only_reattack_survivors(self, model, batch):
-        """Extra restarts never lose already-fooled examples."""
-        x, y = batch
-        single = _bim_loop(model, 3, rng=5).run(x, y)
-        multi = _bim_loop(model, 3, restarts=3, rng=5).run(x, y)
-        fooled_single = model.predict(single) != y
-        fooled_multi = model.predict(multi) != y
-        assert (fooled_multi | ~fooled_single).all() or (
-            fooled_multi.sum() >= fooled_single.sum()
-        )
-
-    def test_restarts_preserve_fooled_rows_bitwise(self, model, batch):
-        """Rows fooled on the first run are returned untouched."""
-        x, y = batch
-        rng_a = np.random.default_rng(5)
-        loop_single = AttackLoop(
-            model,
-            GradientStep(
-                BackpropGradient(model),
-                SignStep(EPS / 3),
-                LinfBoxProjection(EPS),
-            ),
-            num_steps=3,
-            initializer=UniformLinfInit(EPS, rng_a),
-            stop=Misclassified(),
-        )
-        first = loop_single.run(x, y)
-        fooled = model.predict(first) != y
-        rng_b = np.random.default_rng(5)
-        loop_multi = AttackLoop(
-            model,
-            GradientStep(
-                BackpropGradient(model),
-                SignStep(EPS / 3),
-                LinfBoxProjection(EPS),
-            ),
-            num_steps=3,
-            initializer=UniformLinfInit(EPS, rng_b),
-            stop=Misclassified(),
-            restarts=2,
-        )
-        multi = loop_multi.run(x, y)
-        assert np.array_equal(multi[fooled], first[fooled])
-
-    def test_restarts_require_stop(self, model):
-        with pytest.raises(ValueError, match="stop condition"):
-            AttackLoop(
-                model,
-                GradientStep(
-                    BackpropGradient(model),
-                    SignStep(0.1),
-                    LinfBoxProjection(EPS),
-                ),
-                num_steps=1,
-                restarts=2,
-            )
-
-    def test_early_stop_requires_stop(self, model):
-        with pytest.raises(ValueError, match="stop condition"):
-            AttackLoop(
-                model,
-                GradientStep(
-                    BackpropGradient(model),
-                    SignStep(0.1),
-                    LinfBoxProjection(EPS),
-                ),
-                num_steps=1,
-                early_stop=True,
-            )
 
 
 class TestStepProtocol:
@@ -206,19 +72,53 @@ class TestStepProtocol:
 
     def test_zero_steps_returns_initialization(self, model, batch):
         x, y = batch
-        loop = AttackLoop(model, None, num_steps=0)
+        loop = AttackLoop(None, num_steps=0)
         assert np.array_equal(loop.run(x, y), x)
 
 
-class TestPgdEarlyStopIntegration:
-    def test_pgd_early_stop_flag(self, model, batch):
-        """The attack classes expose the engine's early_stop switch."""
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """Count ``GradientStep.__call__`` and ``AttackLoop.step`` calls at
+    class level, the way a tracer wraps them."""
+    calls = {"GradientStep.__call__": 0, "AttackLoop.step": 0}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+        key = f"{cls.__name__}.{name}"
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(GradientStep, "__call__")
+    counted(AttackLoop, "step")
+    return calls
+
+
+class TestTracerEntryPoints:
+    def test_bim10_generate_makes_ten_steps(self, model, batch, entry_calls):
         x, y = batch
-        attack = PGD(model, EPS, num_steps=5, rng=3, early_stop=True)
-        x_adv = attack.generate(x, y)
-        assert x_adv.shape == x.shape
-        assert np.all(np.abs(x_adv - x) <= EPS + 1e-12)
-        plain = PGD(model, EPS, num_steps=5, rng=3)
-        fooled_es = (model.predict(x_adv) != y).sum()
-        fooled_plain = (model.predict(plain.generate(x, y)) != y).sum()
-        assert fooled_es >= fooled_plain
+        with count_passes() as passes:
+            BIM(model, EPS, num_steps=10).generate(x, y)
+        assert entry_calls["GradientStep.__call__"] == 10
+        assert passes["backward"] == 10
+
+    def test_fgsm_generate_makes_one_step(self, model, batch, entry_calls):
+        x, y = batch
+        with count_passes() as passes:
+            FGSM(model, EPS).generate(x, y)
+        assert entry_calls["GradientStep.__call__"] == 1
+        assert passes["backward"] == 1
+
+    def test_proposed_batch_makes_one_loop_step(self, batch, entry_calls):
+        x, y = batch
+        victim = mnist_mlp(seed=0)
+        trainer = EpochwiseAdvTrainer(
+            victim, Adam(victim.parameters(), lr=2e-3), epsilon=EPS
+        )
+        trainer.train_step(Batch(x=x, y=y, indices=np.arange(len(x))))
+        assert entry_calls == {
+            "GradientStep.__call__": 1, "AttackLoop.step": 1,
+        }

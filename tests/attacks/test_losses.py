@@ -47,19 +47,15 @@ class TestMarginLoss:
     def test_gradient_does_not_saturate(self, trained_mlp, tiny_batch):
         """Cross-entropy gradients vanish on confident predictions; the
         margin gradient does not."""
-        from repro.attacks.base import Attack
+        from repro.attacks import BackpropGradient
         from repro.nn import cross_entropy
 
         x, y = tiny_batch
         # Scale up logits to simulate extreme confidence.
         trained_mlp.head.weight.data *= 20.0
         try:
-            ce_grad = Attack(
-                trained_mlp, loss_fn=cross_entropy
-            ).input_gradient(x, y)
-            margin_grad = Attack(
-                trained_mlp, loss_fn=margin_loss
-            ).input_gradient(x, y)
+            ce_grad = BackpropGradient(trained_mlp, cross_entropy)(x, y)
+            margin_grad = BackpropGradient(trained_mlp, margin_loss)(x, y)
             assert np.abs(margin_grad).mean() > np.abs(ce_grad).mean()
         finally:
             trained_mlp.head.weight.data /= 20.0

@@ -16,7 +16,7 @@ from repro.data import DataLoader
 from repro.defenses import build_trainer
 from repro.models import mnist_mlp
 
-ATTACKS = ["fgsm", "bim", "pgd", "mim"]
+ATTACKS = ["fgsm", "bim", "pgd"]
 
 # Where each trainer obtains its adversarial half: (attribute path, method).
 ATTACK_HOOKS = {

@@ -31,14 +31,6 @@ class TestInvariants:
         b = PGD(trained_mlp, 0.2, num_steps=2, rng=7).generate(x, y)
         assert np.array_equal(a, b)
 
-    def test_no_random_start_matches_bim(self, trained_mlp, tiny_batch):
-        x, y = tiny_batch
-        pgd = PGD(
-            trained_mlp, 0.2, num_steps=4, rng=0, random_start=False
-        )
-        bim = BIM(trained_mlp, 0.2, num_steps=4)
-        assert np.allclose(pgd.generate(x, y), bim.generate(x, y))
-
     def test_at_least_as_strong_as_bim(self, trained_mlp, digits_small):
         _train, test = digits_small
         x, y = test.arrays()

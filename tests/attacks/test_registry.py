@@ -6,13 +6,13 @@ import pytest
 from repro.attacks import (
     BIM,
     FGSM,
-    MIM,
     PGD,
     AttackSpec,
     RandomNoise,
     attack_names,
     build_attack,
     canonical_attack_name,
+    check_attack_spec,
     parse_attack_spec,
 )
 from repro.attacks.losses import margin_loss
@@ -31,14 +31,15 @@ class TestParse:
         assert spec == AttackSpec("fgsm", {})
 
     def test_params_coerced(self):
+        # Parsing is grammar only; check_attack_spec vets the names.
         spec = parse_attack_spec(
-            "pgd:num_steps=10,step_size=0.05,random_start=true,rng=none"
+            "pgd:num_steps=10,step_size=0.05,flag=true,rng=none"
         )
         assert spec.name == "pgd"
         assert spec.params == {
             "num_steps": 10,
             "step_size": 0.05,
-            "random_start": True,
+            "flag": True,
             "rng": None,
         }
         assert isinstance(spec.params["num_steps"], int)
@@ -101,7 +102,6 @@ class TestBuild:
             ("fgsm", FGSM),
             ("bim", BIM),
             ("pgd", PGD),
-            ("mim", MIM),
             ("noise", RandomNoise),
             ("random_noise", RandomNoise),
         ],
@@ -142,6 +142,26 @@ class TestBuild:
     def test_unknown_attack(self, model):
         with pytest.raises(KeyError, match="unknown attack"):
             build_attack("cw", model, epsilon=0.25)
+
+    @pytest.mark.parametrize(
+        "spec", ["bim:early_stop=true", "pgd:restarts=3", "fgsm:num_steps=2"]
+    )
+    def test_unknown_parameter_rejected(self, model, spec):
+        with pytest.raises(ValueError, match="accepted: epsilon"):
+            check_attack_spec(spec)
+        with pytest.raises(ValueError, match="takes no parameter"):
+            build_attack(spec, model, epsilon=0.25)
+
+    def test_accepted_parameters_follow_the_constructor_chain(self):
+        # SPSA's own keywords, BIM's via **kwargs, then Attack's.
+        for key in ("samples", "num_steps", "clip_max", "epsilon"):
+            check_attack_spec(f"spsa:{key}=1")
+        assert check_attack_spec("bim10").params == {"num_steps": 10}
+        assert check_attack_spec("clean").name == "clean"
+
+    def test_removed_attack_is_unknown(self):
+        with pytest.raises(KeyError, match="unknown attack"):
+            check_attack_spec("mim")
 
     def test_built_attack_runs(self, model, digits_small):
         train, _test = digits_small

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks import PGD
+from repro.attacks import PGD, UniformLinfInit
 from repro.data import DataLoader
 from repro.defenses import PgdAdvTrainer, build_trainer
 from repro.models import mnist_mlp
@@ -24,7 +24,7 @@ class TestConstruction:
         attack = trainer._ensure_attack()
         assert isinstance(attack, PGD)
         assert attack.num_steps == 5
-        assert attack.random_start
+        assert isinstance(attack.loop.initializer, UniformLinfInit)
 
     def test_registry_builds_it(self):
         trainer = build_trainer("pgd_adv", mnist_mlp(seed=0), epsilon=0.2)

@@ -123,12 +123,16 @@ class TestErrorMapping:
             with _post_error(f"{base}/{path}", payload) as error:
                 assert error.code == 400
 
-    def test_unknown_attack_spec_400(self, served):
+    @pytest.mark.parametrize(
+        "spec",
+        ["definitely_not_an_attack", "mim", "bim:early_stop=true",
+         "pgd:restarts=3"],
+    )
+    def test_unknown_attack_spec_400(self, served, spec):
         base, _service, _server = served
         with _post_error(
             f"{base}/audit",
-            {"attack": "definitely_not_an_attack",
-             "inputs": [[0.0] * 784], "labels": [0]},
+            {"attack": spec, "inputs": [[0.0] * 784], "labels": [0]},
         ) as error:
             assert error.code == 400
 

@@ -64,13 +64,13 @@ class TestRunReport:
             {"type": "event", "name": "early_stop.triggered", "ts": 0.0,
              "fields": {"epoch": 1}},
             {"type": "metrics", "ts": 0.0,
-             "counters": {"attack.early_stop.retired": 64.0},
+             "counters": {"attack.loop.iterations": 64.0},
              "gauges": {"workspace.pool.hits": 30.0,
                         "workspace.pool.misses": 10.0,
                         "data.shard_cache.hits": 9.0,
                         "data.shard_cache.misses": 1.0,
                         "epochwise.cache_bytes": 4096.0},
-             "histograms": {"attack.early_stop.retired_per_step": {
+             "histograms": {"data.prefetch.stall_s": {
                  "count": 4, "total": 64.0, "min": 8.0, "max": 24.0,
                  "mean": 16.0}}},
         ]
@@ -86,12 +86,12 @@ class TestRunReport:
         text = build_report(self.make_records()).render()
         assert "Training time per epoch" in text
         assert "Per-epoch phase breakdown" in text
-        assert "attack.early_stop.retired = 64" in text
+        assert "attack.loop.iterations = 64" in text
         assert "workspace pool hit-rate: 75.0%" in text
         assert "shard cache hit-rate: 90.0%" in text
         assert "epochwise.cache_bytes = 4096" in text
         assert "early_stop.triggered epoch=1" in text
-        assert "attack.early_stop.retired_per_step" in text
+        assert "data.prefetch.stall_s" in text
 
     def test_summary_only_render(self):
         text = build_report(self.make_records()).render(per_epoch=False)

@@ -132,6 +132,22 @@ class TestSmokeRuns:
         )
         assert printed == [f"robust accuracy: {accuracy}"]
 
+    @pytest.mark.parametrize(
+        "spec", ["mim", "bim:early_stop=true", "pgd:restarts=3"]
+    )
+    def test_audit_rejects_bad_spec_before_training(
+        self, spec, monkeypatch, capsys
+    ):
+        from repro.experiments import ClassifierPool
+
+        def no_training(self, name, **overrides):
+            raise AssertionError("audit trained before checking its specs")
+
+        monkeypatch.setattr(ClassifierPool, "get", no_training)
+        code = main(["audit", "--scale", "smoke", "--attack", spec])
+        assert code == 2
+        assert "bad --attack spec" in capsys.readouterr().err
+
 
 class TestObservabilityCommands:
     def _run_record(self, tmp_path):
