@@ -9,15 +9,13 @@ Usage::
     python -m repro audit   --defense proposed
     python -m repro table1  --telemetry run.jsonl
     python -m repro report  run.jsonl
-    python -m repro report  run.jsonl --trace
     python -m repro table1  --profile prof.collapsed
     python -m repro bench diff
 
 Artefacts are printed and optionally saved as JSON via ``--save``.
 ``--telemetry PATH`` records the run (spans, counters, events) as a JSONL
 run record; ``repro report PATH`` renders it into the Table-I-style
-per-epoch/per-phase timing summary, and ``--trace`` renders the
-cross-process trace trees instead (grid workers return their span
+per-epoch/per-phase timing summary (grid workers return their span
 records to the parent, which writes them into the same run record).
 ``--profile PATH`` on any artefact subcommand samples all threads and
 writes a collapsed-stack flamegraph profile;
@@ -185,30 +183,16 @@ def _cmd_report(args) -> int:
     """Render a telemetry JSONL run record into the timing report."""
     from .telemetry import build_report
 
-    if args.trace is not None:
-        from .telemetry.trace import render_trace
-
-        print(render_trace(args.path, trace_id=args.trace or None))
-        return 0
     report = build_report(args.path)
     print(report.render(per_epoch=not args.summary))
     if args.csv:
         import csv
 
-        from .telemetry.report import PHASES
-
+        headers, rows = report.epoch_table(digits=6)
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["trainer", "epoch", "total_s", *[f"{p}_s" for p in PHASES],
-                 "other_s"]
-            )
-            for row in report.epochs:
-                writer.writerow(
-                    [row.trainer, row.epoch, f"{row.total:.6f}",
-                     *[f"{row.phases[p]:.6f}" for p in PHASES],
-                     f"{row.other:.6f}"]
-                )
+            writer.writerow(headers)
+            writer.writerows(rows)
         print(f"per-epoch CSV written to {args.csv}")
     return 0
 
@@ -372,15 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--csv", default="", metavar="PATH",
         help="also write the per-epoch phase table as CSV",
-    )
-    p_report.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="TRACE_ID",
-        help="render the merged cross-process trace tree(s) instead of "
-        "the timing report; optionally select one trace by id prefix",
     )
     p_report.set_defaults(func=_cmd_report)
 

@@ -261,18 +261,15 @@ class DataLoader:
         producer checks ``stop`` on every blocked put, so abandoning the
         iterator (or an exception in the trainer) tears it down promptly.
         Counters are emitted from the consumer thread (span stacks are
-        thread-local); the producer opens its own ``data.prefetch`` span
-        under the consumer's trace context, so the background gather work
-        appears in the same trace as the epoch that consumed it.
+        thread-local); the producer records the background gather work in
+        its own root ``data.prefetch`` span.
         """
         out: "queue_module.Queue" = queue_module.Queue(maxsize=2)
         stop = threading.Event()
         # Captured on the consumer thread, adopted by the producer: the
-        # enabled flag and span stack are thread-local, so without this
-        # handoff a fresh producer thread records nothing (and its span
-        # would start an unrelated trace).
+        # enabled flag is thread-local, so without this handoff a fresh
+        # producer thread records nothing.
         traced = tel.enabled()
-        ctx = tel.current_context() if traced else None
 
         def put(item) -> bool:
             while not stop.is_set():
@@ -287,7 +284,7 @@ class DataLoader:
             try:
                 if traced:
                     tel.set_enabled(True)  # thread-local; thread is ours
-                with tel.trace_context(ctx), tel.span(
+                with tel.span(
                     "data.prefetch", thread="producer"
                 ) as prefetch_span:
                     produced = 0

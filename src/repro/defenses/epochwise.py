@@ -152,6 +152,13 @@ class EpochwiseAdvTrainer(MixedAdversarialTrainer):
         """Number of examples with a carried perturbation."""
         return self._delta.count
 
+    def epoch_attrs(self) -> dict:
+        """The two knobs the ablations sweep."""
+        return {
+            "reset_interval": self.reset_interval,
+            "step_size": self.step_size,
+        }
+
     def on_epoch_start(self, epoch: int) -> None:
         """Reset the cache every ``reset_interval`` adversarial epochs."""
         adv_epoch = epoch - self.warmup_epochs

@@ -124,6 +124,12 @@ class Trainer:
     def on_epoch_end(self, epoch: int) -> None:
         """Hook invoked after each epoch's last batch."""
 
+    def epoch_attrs(self) -> dict:
+        """Settings every ``epoch`` span record carries beside the trainer
+        name, so runs of one trainer with different settings stay apart
+        in the run record."""
+        return {}
+
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
@@ -211,13 +217,15 @@ class Trainer:
         # Step-parameterised trainers report their paper-style row name
         # (bim10_adv, not iter_adv) so run records keep the rows distinct.
         trainer_name = getattr(self, "name_with_steps", self.name)
+        attrs = self.epoch_attrs()
         watch = Stopwatch()
         for _ in range(epochs):
             epoch_index = self.epoch
             # The epoch span wraps exactly the stopwatch region, so the
             # telemetry run record reproduces Table I's time-per-epoch.
             with tel.span(
-                "epoch", emit=True, trainer=trainer_name, epoch=epoch_index
+                "epoch", emit=True, trainer=trainer_name, epoch=epoch_index,
+                **attrs,
             ) as epoch_span:
                 watch.start()
                 mean_loss = self.train_epoch(loader)

@@ -99,7 +99,9 @@ def _sweep_variants(
 
     With ``config`` resolving to more than one worker the sweep runs one
     grid cell per worker process (:func:`repro.parallel.parallel_map`);
-    each forked cell trains its variant exactly as the serial loop would.
+    each forked cell trains its variant with the serial loop's code, and
+    the accuracies match the serial sweep's exactly when the parent runs
+    numpy's OpenBLAS on one thread, as the workers do.
     """
 
     def cell(overrides: dict) -> Dict[str, float]:

@@ -19,9 +19,12 @@ telemetry locks.  With telemetry on, a worker collects the span and event
 records of each call and returns them with its result; the parent passes
 them to its own sinks, so the workers' spans land in the one run record.
 
-Results come back in input order and are computed exactly as the serial
-loop would compute them (same seeds, same kernels — just a different
-process), so a parallel sweep reproduces the serial sweep's numbers.
+Results come back in input order and are computed by the same code as the
+serial loop (same seeds, same kernels — just a different process).  A
+parallel sweep reproduces the serial sweep's numbers exactly when the
+serial parent, like the workers, runs numpy's OpenBLAS on one thread
+(``OPENBLAS_NUM_THREADS=1``); at OpenBLAS's default thread count in the
+parent, a conv weight gradient can round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ R = TypeVar("R")
 
 # Set in each worker by _init_worker; never touched in the parent.
 _worker_fn = None
-_worker_ctx = None
 _worker_traced = False
 
 
@@ -63,10 +65,10 @@ class WorkerCrash(RuntimeError):
     """A grid worker process died before every item finished."""
 
 
-def _init_worker(fn, ctx, traced) -> None:
-    """Start a worker: one BLAS thread, one kernel lane, the caller's trace
-    and telemetry."""
-    global _worker_fn, _worker_ctx, _worker_traced
+def _init_worker(fn, traced) -> None:
+    """Start a worker: one BLAS thread, one kernel lane, the caller's
+    telemetry flag."""
+    global _worker_fn, _worker_traced
     # A numpy built on another BLAS has no such library or symbol; the
     # cap is then a no-op.
     set_threads = getattr(
@@ -75,21 +77,20 @@ def _init_worker(fn, ctx, traced) -> None:
     if set_threads is not None:
         set_threads(1)
     set_lanes(1)
-    _worker_fn, _worker_ctx, _worker_traced = fn, ctx, traced
+    _worker_fn, _worker_traced = fn, traced
 
 
 def _run(item):
     """One call in a worker: the bare result, or ``(result, records)``."""
-    with tel.trace_context(_worker_ctx):
-        if not _worker_traced:
-            return _worker_fn(item)
-        sink = tel.InMemorySink()
-        tel.add_sink(sink)
-        try:
-            result = _worker_fn(item)
-        finally:
-            tel.remove_sink(sink)
-        return result, sink.records
+    if not _worker_traced:
+        return _worker_fn(item)
+    sink = tel.InMemorySink()
+    tel.add_sink(sink)
+    try:
+        result = _worker_fn(item)
+    finally:
+        tel.remove_sink(sink)
+    return result, sink.records
 
 
 def _unpack(outcome, traced: bool):
@@ -146,12 +147,11 @@ def parallel_map(
     )
 
     traced = tel.enabled()
-    ctx = tel.current_context() if traced else None
     executor = ProcessPoolExecutor(
         num_workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(fn, ctx, traced),
+        initargs=(fn, traced),
     )
     futures = []
     results = []

@@ -128,7 +128,7 @@ class MicroBatcher:
         self._run_batch = run_batch
         self.max_batch_size = int(max_batch_size)
         self.queue_depth = int(queue_depth)
-        # (payload, future, trace context) triples.  Admission, the
+        # (payload, future) pairs.  Admission, the
         # worker's takes and close() all hold ``_cond``, so a group is
         # queued atomically and nothing is admitted after close().
         self._pending: deque = deque()
@@ -156,20 +156,13 @@ class MicroBatcher:
         admitted.  Raises :class:`ServiceClosed` after :meth:`close`.
         """
         futures = [Future() for _ in payloads]
-        # The submitting thread's trace context rides the queue with the
-        # requests, so the batch executing on the worker thread can join
-        # the trace of the request(s) it serves.
-        ctx = tel.current_context() if tel.enabled() else None
         with self._cond:
             if self._closed:
                 raise ServiceClosed(f"{NAME}: batcher is shut down")
             depth = len(self._pending) + len(futures)
             admitted = depth <= self.queue_depth
             if admitted:
-                self._pending.extend(
-                    (payload, future, ctx)
-                    for payload, future in zip(payloads, futures)
-                )
+                self._pending.extend(zip(payloads, futures))
                 self._requests += len(futures)
                 self._cond.notify()
             else:
@@ -215,38 +208,11 @@ class MicroBatcher:
                 batch.append(self._pending.popleft())
         return batch
 
-    def _run_traced(self, payloads, ctxs):
-        """Run the batch, traced when any request carried a context.
-
-        The batch span parents on the *first* traced request; the other
-        coalesced requests are recorded as ``links`` (their contexts, in
-        header format) since a span has exactly one parent but a batch
-        serves many requests.  ``enabled`` is thread-local, so it is
-        switched on here just for the batch — the worker thread otherwise
-        keeps the process default.
-        """
-        if not ctxs:
-            return self._run_batch(payloads)
-        attrs = {"batcher": NAME, "size": len(payloads)}
-        if len(ctxs) > 1:
-            attrs["links"] = [f"{c.trace_id}-{c.span_id}" for c in ctxs[1:]]
-        previous = tel.set_enabled(True)
-        try:
-            with tel.trace_context(ctxs[0]):
-                with tel.span("serving.batch", **attrs):
-                    return self._run_batch(payloads)
-        finally:
-            tel.set_enabled(previous)
-
     def _execute(self, batch) -> None:
         started = time.perf_counter()
-        payloads = [payload for payload, _future, _ctx in batch]
-        # A group admitted by one request shares one context: link it once.
-        ctxs = list(dict.fromkeys(
-            ctx for _payload, _future, ctx in batch if ctx is not None
-        ))
+        payloads = [payload for payload, _future in batch]
         try:
-            results = self._run_traced(payloads, ctxs)
+            results = self._run_batch(payloads)
             if len(results) != len(batch):
                 raise RuntimeError(
                     f"{NAME}: run_batch returned {len(results)} "
@@ -254,11 +220,11 @@ class MicroBatcher:
                 )
         except BaseException as exc:  # noqa: BLE001 - routed to callers
             self._metrics.inc(f"serving.{NAME}.batch_errors")
-            for _payload, future, _ctx in batch:
+            for _payload, future in batch:
                 if not future.done():
                     future.set_exception(exc)
             return
-        for (_payload, future, _ctx), result in zip(batch, results):
+        for (_payload, future), result in zip(batch, results):
             if not future.done():
                 future.set_result(result)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

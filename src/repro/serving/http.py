@@ -29,17 +29,6 @@ Endpoints
     (:mod:`repro.telemetry.openmetrics`), so Prometheus-style scrapers
     work unmodified.
 
-Distributed tracing
--------------------
-A request carrying an ``X-Repro-Trace: <trace_id>-<span_id>`` header is
-served inside a ``serving.request`` span parented on the caller's
-context: the handler thread enables telemetry for the request's duration,
-the span's context flows through the micro-batcher to the batch that
-executes the forward pass, and the response echoes ``X-Repro-Trace`` with
-the request span's ids so the client can locate its spans in the server's
-run record (``repro report RUN --trace``).  Malformed headers are
-ignored, never an error.
-
 Failure mapping: shed requests are ``429 {"error": "overloaded"}``,
 missed deadlines ``504 {"error": "timeout"}``, shutdown ``503
 {"error": "shutting_down"}``, malformed payloads ``400``.
@@ -52,8 +41,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
-from .. import telemetry as tel
-from ..telemetry import trace as teltrace
 from ..telemetry.openmetrics import CONTENT_TYPE, render_service_metrics
 from .batching import ServingError
 from .service import InferenceService
@@ -84,9 +71,6 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        response_trace = getattr(self, "_response_trace", None)
-        if response_trace is not None:
-            self.send_header(teltrace.TRACE_HEADER, response_trace)
         # Status line, headers and body leave in one send.  end_headers()
         # followed by wfile.write(body) would be two small writes, and with
         # Nagle on the body would wait for the client's delayed ACK (at
@@ -120,50 +104,19 @@ class ServingHandler(BaseHTTPRequestHandler):
                 500, {"error": "internal", "detail": str(exc)}
             )
 
-    # -- tracing ----------------------------------------------------------
-    def _dispatch(self, method: str, route) -> None:
-        """Run ``route`` inside a ``serving.request`` span when traced.
-
-        ``enabled`` is thread-local and handler threads are fresh per
-        connection, so tracing a request costs nothing unless the client
-        asked for it by sending ``X-Repro-Trace``.
-        """
-        # Reset per request: handler instances persist across keep-alive
-        # requests, and an untraced request must not echo a stale header.
-        self._response_trace = None
-        ctx = teltrace.parse_trace_header(
-            self.headers.get(teltrace.TRACE_HEADER)
-        )
-        if ctx is None:
-            try:
-                route()
-            except Exception as exc:  # noqa: BLE001 - becomes the response
-                self._fail(exc)
-            return
-        previous = tel.set_enabled(True)
+    def _dispatch(self, route) -> None:
+        """Run ``route``, mapping any exception to an error response."""
         try:
-            with tel.trace_context(ctx):
-                with tel.span(
-                    "serving.request", method=method, path=self.path
-                ):
-                    own = tel.current_context()
-                    if own is not None:
-                        self._response_trace = teltrace.format_trace_header(
-                            own
-                        )
-                    try:
-                        route()
-                    except Exception as exc:  # noqa: BLE001
-                        self._fail(exc)
-        finally:
-            tel.set_enabled(previous)
+            route()
+        except Exception as exc:  # noqa: BLE001 - becomes the response
+            self._fail(exc)
 
     # -- routes -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET", self._route_get)
+        self._dispatch(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST", self._route_post)
+        self._dispatch(self._route_post)
 
     def _route_get(self) -> None:
         service = self.server.service

@@ -1,4 +1,4 @@
-"""Observability layer: tracing spans, metrics, events, sinks, reports.
+"""Observability layer: timed spans, metrics, events, sinks, reports.
 
 Zero-dependency instrumentation shared by every layer of the stack::
 
@@ -30,11 +30,9 @@ from .core import (
     NULL_SPAN,
     Span,
     Stopwatch,
-    TraceContext,
     add_sink,
     capture,
     counter,
-    current_context,
     current_span,
     enabled,
     event,
@@ -45,7 +43,6 @@ from .core import (
     reset_metrics,
     set_enabled,
     span,
-    trace_context,
 )
 from .report import RunReport, build_report, render_report
 from .sinks import (
@@ -62,13 +59,6 @@ from .bench import (
     render_diff,
 )
 from .profiler import DEFAULT_HZ, SamplingProfiler
-from .trace import (
-    TRACE_HEADER,
-    TraceCollector,
-    format_trace_header,
-    parse_trace_header,
-    render_trace,
-)
 
 __all__ = [
     "Stopwatch",
@@ -97,14 +87,6 @@ __all__ = [
     "RunReport",
     "build_report",
     "render_report",
-    "TraceContext",
-    "current_context",
-    "trace_context",
-    "TRACE_HEADER",
-    "TraceCollector",
-    "format_trace_header",
-    "parse_trace_header",
-    "render_trace",
     "SamplingProfiler",
     "DEFAULT_HZ",
     "BenchRecord",

@@ -37,10 +37,9 @@ from __future__ import annotations
 import bisect
 import contextlib
 import os
-import random
 import threading
 import time
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "Stopwatch",
@@ -49,9 +48,6 @@ __all__ = [
     "current_span",
     "enabled",
     "set_enabled",
-    "TraceContext",
-    "current_context",
-    "trace_context",
     "Histogram",
     "MetricsRegistry",
     "counter",
@@ -138,7 +134,6 @@ class _TelemetryState(threading.local):
     def __init__(self) -> None:
         self.stack: List["Span"] = []
         self.enabled = _default_enabled()
-        self.remote: Optional["TraceContext"] = None
 
 
 _state = _TelemetryState()
@@ -170,64 +165,6 @@ def current_span() -> Optional["Span"]:
 
 
 # ----------------------------------------------------------------------
-# Trace identity.
-# ----------------------------------------------------------------------
-
-def _new_id() -> str:
-    """A 64-bit hex id (W3C-trace-context-sized, stdlib ``random``)."""
-    return f"{random.getrandbits(64):016x}"
-
-
-class TraceContext(NamedTuple):
-    """Propagatable trace identity: ``(trace_id, span_id)``.
-
-    ``trace_id`` names the whole distributed trace; ``span_id`` the span
-    new root spans should parent on.  The tuple travels to grid workers
-    through their initializer, over thread handoffs and in the
-    ``X-Repro-Trace`` HTTP header (see :mod:`repro.telemetry.trace` for
-    the header codec).
-    """
-
-    trace_id: str
-    span_id: str
-
-
-def current_context() -> Optional[TraceContext]:
-    """The trace context new remote/child work should parent on.
-
-    Walks this thread's span stack innermost-first for the nearest span
-    that will *emit* a record (nested ``emit=None`` spans only fold into
-    their parents — parenting on them would dangle); falls back to the
-    remote context activated by :func:`trace_context`, then ``None``.
-    """
-    stack = _state.stack
-    for open_span in reversed(stack):
-        if open_span._will_emit():
-            return TraceContext(
-                open_span._resolve_trace_id(), open_span.span_id
-            )
-    return _state.remote
-
-
-@contextlib.contextmanager
-def trace_context(ctx: Optional[TraceContext]) -> Iterator[None]:
-    """Adopt a remote trace context for this thread's new root spans.
-
-    Workers, serving threads and the prefetch producer wrap their work in
-    this scope so root spans they open join the caller's trace instead of
-    starting their own.  ``None`` is accepted (no-op scope) so call sites
-    need no conditional.
-    """
-    previous = _state.remote
-    if ctx is not None:
-        _state.remote = TraceContext(*ctx)
-    try:
-        yield
-    finally:
-        _state.remote = previous
-
-
-# ----------------------------------------------------------------------
 # Spans.
 # ----------------------------------------------------------------------
 
@@ -241,8 +178,7 @@ class Span:
     """
 
     __slots__ = (
-        "name", "attrs", "emit", "children", "duration", "wall_start",
-        "_watch", "trace_id", "_span_id", "_parent_span", "_remote",
+        "name", "attrs", "emit", "children", "duration", "wall_start", "_watch",
     )
 
     def __init__(
@@ -255,63 +191,11 @@ class Span:
         self.duration: float = 0.0
         self.wall_start: float = 0.0
         self._watch = Stopwatch()
-        # Trace identity: ids are generated lazily (only spans that emit,
-        # or are asked for their context, ever pay for one).  The parent
-        # reference chain is captured at __enter__ so ids resolve even
-        # after the stack has been popped.
-        self.trace_id: Optional[str] = None
-        self._span_id: Optional[str] = None
-        self._parent_span: Optional["Span"] = None
-        self._remote: Optional[TraceContext] = None
 
     def note(self, **attrs) -> "Span":
         """Attach result attributes (loss, accuracy, ...) to the record."""
         self.attrs.update(attrs)
         return self
-
-    # -- trace identity ------------------------------------------------
-    @property
-    def span_id(self) -> str:
-        """This span's id, generated on first access."""
-        sid = self._span_id
-        if sid is None:
-            sid = self._span_id = _new_id()
-        return sid
-
-    def _will_emit(self) -> bool:
-        """Whether this (entered) span will dispatch a record on exit."""
-        if self.emit is not None:
-            return self.emit
-        return self._parent_span is None
-
-    def _resolve_trace_id(self) -> str:
-        """Trace id shared by this span's whole local tree.
-
-        Walks to the local root; the root inherits the adopted remote
-        context's trace, else mints a fresh one (cached on the root so
-        every descendant resolves identically).
-        """
-        node = self
-        while node._parent_span is not None:
-            node = node._parent_span
-        tid = node.trace_id
-        if tid is None:
-            remote = node._remote
-            tid = remote.trace_id if remote is not None else _new_id()
-            node.trace_id = tid
-        return tid
-
-    def _resolve_parent_id(self) -> Optional[str]:
-        """Span id of the nearest *emitting* ancestor (local or remote)."""
-        node = self._parent_span
-        while node is not None:
-            if node._will_emit():
-                return node.span_id
-            if node._parent_span is None:
-                break
-            node = node._parent_span
-        remote = node._remote if node is not None else self._remote
-        return remote.span_id if remote is not None else None
 
     def _fold(self, path: str, count: float, total: float) -> None:
         entry = self.children.get(path)
@@ -331,12 +215,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         self.wall_start = time.time()
-        stack = _state.stack
-        if stack:
-            self._parent_span = stack[-1]
-        else:
-            self._remote = _state.remote
-        stack.append(self)
+        _state.stack.append(self)
         _active_spans[threading.get_ident()] = self.name
         self._watch.start()
         return self
@@ -367,9 +246,6 @@ class Span:
             "ts": self.wall_start,
             "duration": self.duration,
             "self": self.self_seconds,
-            "trace_id": self._resolve_trace_id(),
-            "span_id": self.span_id,
-            "parent_id": self._resolve_parent_id(),
             "pid": os.getpid(),
             "thread": threading.current_thread().name,
             "children": {
@@ -661,7 +537,6 @@ def _reset_after_fork() -> None:
     """
     global _sinks_lock
     _state.stack = []
-    _state.remote = None
     _active_spans.clear()
     _sinks_lock = threading.Lock()
     del _sinks[:]

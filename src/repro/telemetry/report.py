@@ -10,17 +10,29 @@
   paper's Table I efficiency metric) with mean phase costs, plus the
   attack-loop, workspace-pool and data counters captured in the
   end-of-run metrics snapshot.
+
+Rows are keyed on the trainer plus the :data:`KNOBS` its epoch spans
+carry, so the cells of an ablation sweep (one trainer, several settings)
+get one summary row each instead of one averaged row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .sinks import load_records
 
 __all__ = ["EpochRow", "RunReport", "build_report", "render_report"]
 
 PHASES = ("data", "attack", "forward", "backward", "optimizer")
+
+#: Epoch-span attributes that tell runs of one trainer apart: the knobs
+#: the ablations sweep (see ``Trainer.epoch_attrs``).
+KNOBS = ("reset_interval", "step_size")
+
+
+def _knob_cell(value) -> str:
+    return "-" if value is None else f"{value:g}"
 
 
 def _format_table(
@@ -48,12 +60,17 @@ def _format_table(
 class EpochRow:
     """Phase breakdown of one ``epoch`` span record."""
 
-    __slots__ = ("trainer", "epoch", "total", "phases", "other", "attrs")
+    __slots__ = (
+        "trainer", "epoch", "total", "phases", "other", "attrs", "knobs",
+    )
 
     def __init__(self, record: dict) -> None:
         attrs = record.get("attrs", {})
         self.trainer = str(attrs.get("trainer", "?"))
         self.epoch = attrs.get("epoch")
+        #: One value per :data:`KNOBS` entry; ``None`` where the span
+        #: lacks that attribute.
+        self.knobs: Tuple = tuple(attrs.get(k) for k in KNOBS)
         self.total = float(record.get("duration", 0.0))
         self.attrs = attrs
         children = record.get("children", {})
@@ -106,45 +123,68 @@ class RunReport:
     # ------------------------------------------------------------------
     def trainers(self) -> List[str]:
         """Trainer names in first-seen order."""
-        seen: List[str] = []
-        for row in self.epochs:
-            if row.trainer not in seen:
-                seen.append(row.trainer)
-        return seen
+        return list(dict.fromkeys(row.trainer for row in self.epochs))
 
-    def epochs_for(self, trainer: str) -> List[EpochRow]:
-        """The epoch rows recorded by one trainer."""
-        return [row for row in self.epochs if row.trainer == trainer]
+    def keys(self) -> List[Tuple]:
+        """Summary-row keys ``(trainer, knobs)``, in first-seen order."""
+        return list(dict.fromkeys(
+            (row.trainer, row.knobs) for row in self.epochs
+        ))
 
-    def time_per_epoch(self, trainer: str) -> float:
+    def _knob_columns(self) -> List[int]:
+        """Indices of the :data:`KNOBS` some epoch row carries."""
+        return [
+            index for index in range(len(KNOBS))
+            if any(row.knobs[index] is not None for row in self.epochs)
+        ]
+
+    def epochs_for(self, trainer: str, **knobs) -> List[EpochRow]:
+        """The epoch rows of ``trainer`` whose attributes match ``knobs``."""
+        return [
+            row for row in self.epochs
+            if row.trainer == trainer
+            and all(row.attrs.get(k) == v for k, v in knobs.items())
+        ]
+
+    def time_per_epoch(self, trainer: str, **knobs) -> float:
         """Mean seconds per epoch for ``trainer`` — the Table I metric."""
-        rows = self.epochs_for(trainer)
+        rows = self.epochs_for(trainer, **knobs)
         if not rows:
             return 0.0
         return sum(row.total for row in rows) / len(rows)
 
     # ------------------------------------------------------------------
-    def render_per_epoch(self) -> str:
-        """One row per epoch with the per-phase wall-clock breakdown."""
-        headers = ["trainer", "epoch", "total_s", *[f"{p}_s" for p in PHASES],
-                   "other_s"]
+    def epoch_table(self, digits: int = 4) -> Tuple[List[str], List[List]]:
+        """Headers and cells of the per-epoch phase table (also the CSV)."""
+        columns = self._knob_columns()
+        headers = ["trainer", *(KNOBS[i] for i in columns), "epoch",
+                   "total_s", *[f"{p}_s" for p in PHASES], "other_s"]
         rows = []
         for row in self.epochs:
-            cells = [row.trainer, str(row.epoch), f"{row.total:.4f}"]
-            cells.extend(f"{row.phases[p]:.4f}" for p in PHASES)
-            cells.append(f"{row.other:.4f}")
+            cells = [row.trainer, *(_knob_cell(row.knobs[i]) for i in columns),
+                     str(row.epoch), f"{row.total:.{digits}f}"]
+            cells.extend(f"{row.phases[p]:.{digits}f}" for p in PHASES)
+            cells.append(f"{row.other:.{digits}f}")
             rows.append(cells)
+        return headers, rows
+
+    def render_per_epoch(self) -> str:
+        """One row per epoch with the per-phase wall-clock breakdown."""
+        headers, rows = self.epoch_table()
         return _format_table(headers, rows, title="Per-epoch phase breakdown")
 
     def render_summary(self) -> str:
-        """Table-I-style per-trainer mean epoch cost with phase means."""
-        headers = ["trainer", "epochs", "s/epoch",
-                   *[f"{p}_s" for p in PHASES]]
+        """Table-I-style mean epoch cost with phase means, one row per key."""
+        columns = self._knob_columns()
+        headers = ["trainer", *(KNOBS[i] for i in columns), "epochs",
+                   "s/epoch", *[f"{p}_s" for p in PHASES]]
         rows = []
-        for trainer in self.trainers():
-            epoch_rows = self.epochs_for(trainer)
+        for trainer, knobs in self.keys():
+            epoch_rows = self.epochs_for(trainer, **dict(zip(KNOBS, knobs)))
             n = len(epoch_rows)
-            cells = [trainer, str(n), f"{self.time_per_epoch(trainer):.4f}"]
+            mean_total = sum(row.total for row in epoch_rows) / n
+            cells = [trainer, *(_knob_cell(knobs[i]) for i in columns),
+                     str(n), f"{mean_total:.4f}"]
             for phase in PHASES:
                 mean = sum(r.phases[phase] for r in epoch_rows) / n
                 cells.append(f"{mean:.4f}")

@@ -93,6 +93,35 @@ class TestRunReport:
         assert "early_stop.triggered epoch=1" in text
         assert "data.prefetch.stall_s" in text
 
+    def test_knob_attrs_split_rows_of_one_trainer(self):
+        report = build_report([
+            epoch_record("vanilla", 0, 1.0),
+            epoch_record("proposed", 0, 1.0, reset_interval=5, step_size=0.1),
+            epoch_record("proposed", 0, 3.0, reset_interval=0, step_size=0.1),
+        ])
+        assert report.trainers() == ["vanilla", "proposed"]
+        assert report.keys() == [
+            ("vanilla", (None, None)),
+            ("proposed", (5, 0.1)),
+            ("proposed", (0, 0.1)),
+        ]
+        assert report.time_per_epoch("proposed") == pytest.approx(2.0)
+        assert report.time_per_epoch(
+            "proposed", reset_interval=0
+        ) == pytest.approx(3.0)
+        headers, rows = report.epoch_table()
+        assert headers[:4] == ["trainer", "reset_interval", "step_size",
+                               "epoch"]
+        assert [row[:3] for row in rows] == [
+            ["vanilla", "-", "-"],
+            ["proposed", "5", "0.1"],
+            ["proposed", "0", "0.1"],
+        ]
+
+    def test_runs_without_knobs_have_no_knob_columns(self):
+        headers, _rows = build_report(self.make_records()).epoch_table()
+        assert headers[:3] == ["trainer", "epoch", "total_s"]
+
     def test_summary_only_render(self):
         text = build_report(self.make_records()).render(per_epoch=False)
         assert "Training time per epoch" in text

@@ -151,32 +151,26 @@ class TestSmokeRuns:
 
 class TestObservabilityCommands:
     def _run_record(self, tmp_path):
-        """A tiny traced run record holding one worker (pid 2) span."""
+        """A tiny run record holding one worker (pid 2) span."""
         run = tmp_path / "run.jsonl"
         epoch = {
             "type": "span", "name": "epoch", "ts": 0.0, "duration": 2.0,
-            "self": 2.0, "trace_id": "t" * 16, "span_id": "a" * 16,
-            "parent_id": None, "pid": 1, "thread": "MainThread",
+            "self": 2.0, "pid": 1, "thread": "MainThread",
             "children": {}, "attrs": {"trainer": "proposed", "epoch": 0},
         }
         shard = dict(
-            epoch, name="shard", span_id="b" * 16, parent_id="a" * 16,
-            ts=0.5, duration=1.0, pid=2, attrs={"worker": 0},
+            epoch, name="shard", ts=0.5, duration=1.0, pid=2,
+            attrs={"worker": 0},
         )
         run.write_text(json.dumps(epoch) + "\n" + json.dumps(shard) + "\n")
         return str(run)
 
-    def test_report_trace_renders_merged_tree(self, capsys, tmp_path):
+    def test_report_has_no_trace_flag(self, capsys, tmp_path):
         run = self._run_record(tmp_path)
-        assert main(["report", run, "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "2 span(s), 2 process(es)" in out
-        assert "shard" in out
-
-    def test_report_trace_with_id_prefix(self, capsys, tmp_path):
-        run = self._run_record(tmp_path)
-        assert main(["report", run, "--trace", "tttt"]) == 0
-        assert "trace " + "t" * 16 in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", run, "--trace"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
     def test_report_still_renders_timing_table(self, capsys, tmp_path):
         run = self._run_record(tmp_path)
