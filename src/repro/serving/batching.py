@@ -128,9 +128,9 @@ class MicroBatcher:
         self._run_batch = run_batch
         self.max_batch_size = int(max_batch_size)
         self.queue_depth = int(queue_depth)
-        # (payload, future) pairs.  Admission, the
-        # worker's takes and close() all hold ``_cond``, so a group is
-        # queued atomically and nothing is admitted after close().
+        # (payload, future) pairs.  Admission, the worker's takes and
+        # close() all hold ``_cond``, so a group is queued atomically and
+        # nothing is admitted after close().
         self._pending: deque = deque()
         self._cond = threading.Condition()
         self._closed = False
