@@ -323,3 +323,24 @@ class TestTraceHeader:
         assert traced[2] == plain[2]
         assert "prediction" in json.loads(traced[2])
         assert traced[1].get("X-Repro-Trace") is None
+
+
+class TestTracePropagation:
+    def test_untraced_request_has_no_trace_header(self, served):
+        base, _service, _server = served
+        status, headers, _body = _post_with_headers(
+            f"{base}/classify", {"input": _RNG.random(784).tolist()}, {}
+        )
+        assert status == 200
+        assert headers.get("X-Repro-Trace") is None
+
+    def test_malformed_trace_header_is_ignored(self, served):
+        base, _service, _server = served
+        status, headers, body = _post_with_headers(
+            f"{base}/classify",
+            {"input": _RNG.random(784).tolist()},
+            {"X-Repro-Trace": "definitely-not-hex-ids"},
+        )
+        assert status == 200
+        assert headers.get("X-Repro-Trace") is None
+        assert "prediction" in json.loads(body)
